@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# CI gate: style lint, type check, tier-1 tests, trace-lint (text +
-# SARIF + baseline gating), analysis-engine benchmark smoke,
-# simulation-kernel equivalence (both engines, diffed JSON),
+# CI gate: style lint, type check, tier-1 tests, benchmark self-tests,
+# trace-lint (text + SARIF + baseline gating), analysis-engine benchmark
+# smoke, simulation-kernel equivalence (both engines, diffed JSON),
 # fault-injection smoke runs, a chaos smoke (kill a worker mid-grid,
 # assert bit-identical recovery and no leaked shm segments),
 # observability smoke, an end-to-end smoke of the simulation service
@@ -61,6 +61,11 @@ if command -v timeout >/dev/null 2>&1; then
 else
     run_or_fail python -m pytest -q tests
 fi
+
+step "pytest (repository benchmark self-tests)"
+# perfbench/ sits outside tier-1 (testpaths=tests); its own tests check
+# the measurement and comparison library the benchmark relies on.
+run_or_fail python -m pytest -q perfbench
 
 step "repro lint (config presets)"
 for preset in baseline upei graphpim; do

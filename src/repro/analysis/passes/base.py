@@ -20,9 +20,7 @@ The :class:`PassManager` owns engine selection through the shared
 and ``"vectorized"`` run columnar implementations and silently fall
 back per pass when one returns ``None`` or the trace is not encodable;
 ``"legacy"`` forces the per-event oracles.  The ``REPRO_ENGINE``
-environment variable overrides the default for a whole process (the
-analysis-only ``REPRO_ANALYSIS_ENGINE`` still works, with a
-:class:`DeprecationWarning`).
+environment variable overrides the default for a whole process.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from repro.common.engine import EngineSelection, resolve_engine
 from repro.common.errors import ConfigError, TraceError
 from repro.sim.config import SystemConfig
-from repro.trace.columnar import ColumnarTrace
+from repro.trace.columnar import ColumnarTrace, as_columnar
 from repro.analysis.findings import AnalysisReport
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,20 +41,14 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Engine names accepted by :meth:`PassManager.run`.
 ENGINES = tuple(e.value for e in EngineSelection)
 
-#: Deprecated analysis-only environment override; still honored by
-#: :func:`repro.common.engine.engine_from_env` (which warns), kept here
-#: because PR 6 exported it from this module.
-ENGINE_ENV = "REPRO_ANALYSIS_ENGINE"
-
 
 def default_engine() -> str:
     """Process-wide default engine name.
 
     Resolution lives in :func:`repro.common.engine.resolve_engine`
-    (``REPRO_ENGINE``, then the deprecated ``REPRO_ANALYSIS_ENGINE``
-    with a warning).  ``auto`` and ``vectorized`` are the same
-    execution for analysis passes — columnar with per-pass fallback —
-    so the ambient default reports as ``"vectorized"``.
+    (``REPRO_ENGINE``, else ``auto``).  ``auto`` and ``vectorized`` are
+    the same execution for analysis passes — columnar with per-pass
+    fallback — so the ambient default reports as ``"vectorized"``.
     """
     selection = resolve_engine(None)
     if selection is EngineSelection.AUTO:
@@ -187,7 +179,7 @@ class PassManager:
             ctx.trace = trace
             if wants_vectorized:
                 try:
-                    ctx.columnar = ColumnarTrace.from_events(trace)
+                    ctx.columnar = as_columnar(trace)
                 except TraceError:
                     # Deliberately malformed tuples (wrong arity, bad
                     # kinds) are exactly what the legacy linter reports;

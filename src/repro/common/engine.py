@@ -28,15 +28,12 @@ string vocabularies.
     engine.
 
 Resolution order for the ambient default: explicit argument, then the
-``REPRO_ENGINE`` environment variable, then the deprecated
-``REPRO_ANALYSIS_ENGINE`` (a :class:`DeprecationWarning` is emitted
-once per process when it decides the outcome), then ``AUTO``.
+``REPRO_ENGINE`` environment variable, then ``AUTO``.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
@@ -45,12 +42,6 @@ from repro.common.errors import ConfigError
 
 #: Environment override honored by every engine-selecting entry point.
 ENGINE_ENV = "REPRO_ENGINE"
-
-#: PR 6's analysis-only override; still honored, but deprecated in
-#: favor of :data:`ENGINE_ENV` which covers analysis *and* simulation.
-DEPRECATED_ANALYSIS_ENGINE_ENV = "REPRO_ANALYSIS_ENGINE"
-
-_WARNED_DEPRECATED_ENV = False
 
 
 class EngineSelection(str, Enum):
@@ -112,35 +103,16 @@ class EngineInfo:
 def engine_from_env() -> Optional[EngineSelection]:
     """The environment-supplied engine, or ``None`` when unset/invalid.
 
-    ``REPRO_ENGINE`` wins; the deprecated ``REPRO_ANALYSIS_ENGINE``
-    is consulted second and warns (once) when it decides the outcome.
-    Invalid values are ignored rather than fatal — an env var must not
-    brick every entry point of the process.
+    Invalid ``REPRO_ENGINE`` values are ignored rather than fatal — an
+    env var must not brick every entry point of the process.
     """
     raw = os.environ.get(ENGINE_ENV)
-    if raw:
-        try:
-            return EngineSelection.coerce(raw)
-        except ConfigError:
-            return None
-    legacy_raw = os.environ.get(DEPRECATED_ANALYSIS_ENGINE_ENV)
-    if legacy_raw:
-        try:
-            selection = EngineSelection.coerce(legacy_raw)
-        except ConfigError:
-            return None
-        global _WARNED_DEPRECATED_ENV
-        if not _WARNED_DEPRECATED_ENV:
-            _WARNED_DEPRECATED_ENV = True
-            warnings.warn(
-                f"{DEPRECATED_ANALYSIS_ENGINE_ENV} is deprecated; set "
-                f"{ENGINE_ENV} instead (it selects the engine for both "
-                "analysis and simulation)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return selection
-    return None
+    if not raw:
+        return None
+    try:
+        return EngineSelection.coerce(raw)
+    except ConfigError:
+        return None
 
 
 def resolve_engine(
@@ -148,8 +120,7 @@ def resolve_engine(
 ) -> EngineSelection:
     """Resolve an explicit/ambient engine choice to a concrete selection.
 
-    Explicit argument > ``REPRO_ENGINE`` > deprecated
-    ``REPRO_ANALYSIS_ENGINE`` (warns) > :attr:`EngineSelection.AUTO`.
+    Explicit argument > ``REPRO_ENGINE`` > :attr:`EngineSelection.AUTO`.
     """
     coerced = EngineSelection.coerce(engine)
     if coerced is not None:

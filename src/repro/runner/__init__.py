@@ -7,8 +7,7 @@ backs every simulation with a content-addressed on-disk cache
 + code-version salt — a repeated grid performs zero simulations.
 
 Strictness, scale, parallelism, and cache placement travel on
-:class:`RunnerConfig` values instead of module globals; the old
-``harness.suite.set_strict`` API is deprecated in favor of this.
+:class:`RunnerConfig` values instead of module globals.
 
 Entry points:
 

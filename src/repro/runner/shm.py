@@ -65,15 +65,14 @@ class ShmTraceRef:
 def publish_trace(trace: Trace, prefix: str = "repro") -> ShmTraceRef:
     """Copy ``trace`` into a fresh named segment; returns its handle.
 
-    The segment is left linked (the caller owns unlinking); the local
-    mapping is closed before returning so the publishing process holds
-    no buffer references.
+    The rows come from the trace's :meth:`Trace.columnar` memo, the
+    conversion the simulation kernel reuses afterwards.  The segment is
+    left linked (the caller owns unlinking); the local mapping is closed
+    before returning so the publishing process holds no buffer
+    references.
     """
     pairs = _thread_matrices(trace)
-    chunks = [
-        np.ascontiguousarray(matrix, dtype=np.int64).tobytes()
-        for _, matrix in pairs
-    ]
+    chunks = [matrix.tobytes() for _, matrix in pairs]
     meta = json.dumps(
         {
             "name": trace.name,

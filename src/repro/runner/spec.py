@@ -6,9 +6,8 @@ trace a workload once, simulate it under each of its modes.  Specs are
 frozen, hashable, and picklable, so they can cross process boundaries
 to pool workers unchanged.
 
-:class:`RunnerConfig` replaces the old module-global suite knobs
-(``set_strict`` et al.): strictness, scale, parallelism, and cache
-placement are explicit fields carried by the value, not ambient state.
+:class:`RunnerConfig` carries strictness, scale, parallelism, and
+cache placement as explicit fields of the value, not ambient state.
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ class RunnerConfig:
         "resolve the ambient default" (``REPRO_SCALE`` env or small).
     strict:
         Run the static-analysis pre-flight on every traced workload and
-        abort the grid on ERROR findings.  Replaces the deprecated
-        ``harness.suite.set_strict`` global.
+        abort the grid on ERROR findings.
     lint_baseline:
         Optional path to a finding-baseline file (see
         :mod:`repro.analysis.baseline`).  When set, the strict

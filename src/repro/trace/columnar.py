@@ -4,36 +4,44 @@
 ``int64`` numpy columns — ``kind``, ``addr``, ``size``, ``gap``, ``op``,
 ``ret`` — laid out thread-major (all of thread 0's events, then all of
 thread 1's, ...), with a ``starts`` offset array delimiting the
-per-thread segments.  The column encoding is byte-identical to the one
-the ``.npz`` trace format (:mod:`repro.trace.io`) has always used::
+per-thread segments.  Each event becomes one row of the canonical
+(N, 6) encoding that the ``.npz`` trace format (:mod:`repro.trace.io`),
+the shared-memory transport (:mod:`repro.runner.shm`) and
+:func:`~repro.trace.io.trace_digest` all use::
 
     load/store : (kind, addr,       size, gap, -1, 0)
     atomic     : (kind, addr,       size, gap, op, with_return)
     barrier    : (kind, 0,    barrier_id,  gap, -1, 0)
 
-so converting between the tuple form and the columnar form is lossless
-(``to_events(from_events(t)) == t`` for every encodable trace) and the
-content digest is bit-for-bit unchanged — ``.repro_cache/`` result keys
-and service spec_keys survive the representation change.
+:func:`encode_events` is the one function that turns event tuples into
+those rows.  Converting between the tuple form and the columnar form is
+lossless (``to_events(from_events(t)) == t`` for every encodable
+trace), so the content digest — and with it every ``.repro_cache/``
+result key and service spec_key — is the same for either form.
 
-The vectorized analysis passes (:mod:`repro.analysis.passes`) and the
-future batch simulation kernel consume this form directly; the
-per-event tuple form remains the reference representation for the
-per-event interpreter and the legacy analyzers.
+The memoized :meth:`Trace.columnar() <repro.trace.stream.Trace.columnar>`
+(reached through :func:`as_columnar`) is what the C simulation kernel,
+the vectorized analysis passes, ``save_trace`` and ``publish_trace``
+read, so a tuple trace is encoded once for all of them.  Its arrays are
+read-only: the memo is shared, and a consumer that tries to write into
+it raises instead of corrupting every later reader.
 
 Encodability: an event is columnar-encodable when it has a known kind,
-the exact arity for that kind, and integer fields that fit in int64.
-Traces carrying deliberately malformed tuples (wrong arity, non-int
-fields, unknown kinds) raise :class:`~repro.common.errors.TraceError`
-from :meth:`ColumnarTrace.from_events`; analysis callers fall back to
-the per-event implementations for those, which report the corruption as
-findings instead of dying.
+the exact arity for that kind, and integer fields (anything
+:func:`operator.index` accepts) that fit in int64.  Traces carrying
+malformed tuples raise :class:`~repro.common.errors.TraceError` naming
+the first bad event; analysis callers fall back to the per-event
+implementations for those, which report the corruption as findings
+instead of dying.
 """
 
 from __future__ import annotations
 
+import operator
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -48,83 +56,119 @@ from repro.trace.events import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.trace.stream import Trace
 
-#: Expected tuple arity per event kind (the encodable subset).
-_EVENT_ARITY = {EV_LOAD: 4, EV_STORE: 4, EV_ATOMIC: 6, EV_BARRIER: 3}
+#: Tuple field names per event kind (the encodable subset); the kind
+#: itself is field 0, so a kind's arity is ``len(fields) + 1``.
+_EVENT_FIELDS = {
+    EV_LOAD: ("addr", "size", "gap"),
+    EV_STORE: ("addr", "size", "gap"),
+    EV_ATOMIC: ("addr", "size", "gap", "atomic op", "with_return"),
+    EV_BARRIER: ("barrier id", "gap"),
+}
 
 _COLUMNS = ("kind", "addr", "size", "gap", "op", "ret")
 
+#: Tuple arity indexed by kind code (kinds are 0..3).
+_ARITY = np.array(
+    [len(_EVENT_FIELDS[k]) + 1 for k in range(len(_EVENT_FIELDS))],
+    dtype=np.int64,
+)
 
-def _require_int(value, what: str, thread_id: int, index: int) -> int:
-    """Validate one event field as a columnar-encodable integer."""
-    # bool and IntEnum are int subclasses and encode fine; floats and
-    # arbitrary objects do not round-trip and must take the tuple path.
-    if not isinstance(value, (int, np.integer)):
-        raise TraceError(
-            f"thread {thread_id} event {index}: {what} {value!r} is not "
-            f"an integer (not columnar-encodable)"
-        )
-    return int(value)
+#: Where each output column comes from, indexed by kind code: a
+#: non-negative entry is the tuple position, -1 the constant -1 and -2
+#: the constant 0.
+_ROW_TEMPLATE = np.array(
+    [
+        [0, 1, 2, 3, -1, -2],  # load
+        [0, 1, 2, 3, -1, -2],  # store
+        [0, 1, 2, 3, 4, 5],  # atomic
+        [0, -2, 1, 2, -1, -2],  # barrier
+    ],
+    dtype=np.int64,
+)
+
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
 
 
 def encode_events(
     events: Sequence[tuple], thread_id: int = 0
 ) -> np.ndarray:
-    """Strictly encode one thread's event tuples as an (N, 6) matrix.
+    """Encode one thread's event tuples as the canonical (N, 6) matrix.
 
-    Unlike the tolerant encoder inside :mod:`repro.trace.io` (which only
-    ever sees events a :class:`~repro.trace.stream.ThreadTrace` builder
-    produced), this validates kind, arity, and field integer-ness, and
-    raises :class:`TraceError` on anything the columnar form cannot
-    represent losslessly.
+    All fields go through one C-level int64 conversion (which rejects
+    non-integers and out-of-range values without a Python loop); arity
+    is then checked against kind and the rows are laid out with one
+    numpy gather.  Raises :class:`TraceError` naming the first event
+    the columnar form cannot represent losslessly.
     """
-    rows = np.empty((len(events), 6), dtype=np.int64)
+    count = len(events)
+    if count == 0:
+        return np.empty((0, 6), dtype=np.int64)
+    try:
+        flat = array("q", chain.from_iterable(events))
+        lengths = np.fromiter(map(len, events), dtype=np.int64, count=count)
+    except (TypeError, OverflowError):
+        _raise_first_bad(events, thread_id)
+    total = len(flat)
+    # Two constant slots past the fields: the -1 and 0 fillers.
+    flat.extend((-1, 0))
+    values = np.frombuffer(flat, dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    # An empty tuple's start is the next event's (or past the end), so
+    # kinds are only read once every event is known to be non-empty.
+    if not lengths.all():
+        _raise_first_bad(events, thread_id)
+    kinds = values[starts]
+    if (
+        int(kinds.min()) < 0
+        or int(kinds.max()) >= _ARITY.size
+        or not np.array_equal(_ARITY[kinds], lengths)
+    ):
+        _raise_first_bad(events, thread_id)
+    template = _ROW_TEMPLATE[kinds]
+    index = starts[:, None] + template
+    filler = template < 0
+    index[filler] = total - 1 - template[filler]
+    return values[index]
+
+
+def _raise_first_bad(events: Sequence[tuple], thread_id: int) -> NoReturn:
+    """Raise :class:`TraceError` for the first unencodable event.
+
+    Only reached once the fast path in :func:`encode_events` has failed,
+    so the per-event Python loop costs nothing on valid traces.
+    """
     for i, event in enumerate(events):
-        kind = event[0] if event else None
-        arity = _EVENT_ARITY.get(kind)  # type: ignore[arg-type]
-        if arity is None:
-            raise TraceError(
-                f"thread {thread_id} event {i}: unknown event kind "
-                f"{kind!r} (not columnar-encodable)"
-            )
-        if len(event) != arity:
-            raise TraceError(
-                f"thread {thread_id} event {i}: kind {kind} has arity "
-                f"{len(event)}, expected {arity} (not columnar-encodable)"
-            )
+        where = f"thread {thread_id} event {i}"
         try:
-            if kind == EV_BARRIER:
-                rows[i] = (
-                    kind,
-                    0,
-                    _require_int(event[1], "barrier id", thread_id, i),
-                    _require_int(event[2], "gap", thread_id, i),
-                    -1,
-                    0,
-                )
-            elif kind == EV_ATOMIC:
-                rows[i] = (
-                    kind,
-                    _require_int(event[1], "addr", thread_id, i),
-                    _require_int(event[2], "size", thread_id, i),
-                    _require_int(event[3], "gap", thread_id, i),
-                    _require_int(event[4], "atomic op", thread_id, i),
-                    _require_int(event[5], "with_return", thread_id, i),
-                )
-            else:
-                rows[i] = (
-                    kind,
-                    _require_int(event[1], "addr", thread_id, i),
-                    _require_int(event[2], "size", thread_id, i),
-                    _require_int(event[3], "gap", thread_id, i),
-                    -1,
-                    0,
-                )
-        except OverflowError:
+            kind = operator.index(event[0])
+        except (TypeError, IndexError):
+            kind = None
+        fields = _EVENT_FIELDS.get(kind)  # type: ignore[arg-type]
+        if fields is None:
             raise TraceError(
-                f"thread {thread_id} event {i}: field exceeds int64 "
-                f"range (not columnar-encodable)"
-            ) from None
-    return rows
+                f"{where}: unknown event kind in {event!r} "
+                "(not columnar-encodable)"
+            )
+        if len(event) != len(fields) + 1:
+            raise TraceError(
+                f"{where}: kind {kind} has arity {len(event)}, expected "
+                f"{len(fields) + 1} (not columnar-encodable)"
+            )
+        for what, value in zip(fields, event[1:]):
+            try:
+                number = operator.index(value)
+            except TypeError:
+                raise TraceError(
+                    f"{where}: {what} {value!r} is not an integer "
+                    "(not columnar-encodable)"
+                ) from None
+            if not _INT64_MIN <= number <= _INT64_MAX:
+                raise TraceError(
+                    f"{where}: {what} exceeds int64 range "
+                    "(not columnar-encodable)"
+                )
+    raise TraceError(f"thread {thread_id}: not columnar-encodable")
 
 
 @dataclass
@@ -133,7 +177,8 @@ class ColumnarTrace:
 
     All six columns are flat ``int64`` arrays of length ``num_events``;
     ``starts`` has ``num_threads + 1`` entries and thread ``t``'s events
-    occupy ``[starts[t], starts[t + 1])``.
+    occupy ``[starts[t], starts[t + 1])``.  Every array is read-only
+    once the trace is built.
     """
 
     name: str
@@ -176,6 +221,12 @@ class ColumnarTrace:
                     f"column {column!r} has {getattr(self, column).size} "
                     f"entries, expected {total}"
                 )
+        # The tuple trace's memo is shared by every consumer; freezing
+        # makes "no mutation after capture" a checked invariant.
+        for array_ in (self.thread_ids, self.starts) + tuple(
+            getattr(self, column) for column in _COLUMNS
+        ):
+            array_.flags.writeable = False
 
     # ------------------------------------------------------------------
     # Shape
@@ -283,29 +334,13 @@ class ColumnarTrace:
         out-of-range field); callers needing to analyze such traces use
         the per-event path instead.
         """
-        matrices = [
-            encode_events(thread.events, thread.thread_id)
-            for thread in trace.threads
-        ]
-        counts = [m.shape[0] for m in matrices]
-        starts = np.zeros(len(matrices) + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        stacked = (
-            np.concatenate(matrices)
-            if sum(counts)
-            else np.empty((0, 6), dtype=np.int64)
-        )
-        columns = {
-            column: np.ascontiguousarray(stacked[:, i])
-            for i, column in enumerate(_COLUMNS)
-        }
-        return cls(
-            name=trace.name,
-            thread_ids=np.asarray(
-                [t.thread_id for t in trace.threads], dtype=np.int64
-            ),
-            starts=starts,
-            **columns,
+        return cls.from_thread_matrices(
+            trace.name,
+            [thread.thread_id for thread in trace.threads],
+            [
+                encode_events(thread.events, thread.thread_id)
+                for thread in trace.threads
+            ],
         )
 
     def thread_matrix(self, pos: int) -> np.ndarray:
@@ -352,7 +387,7 @@ class ColumnarTrace:
             else np.empty((0, 6), dtype=np.int64)
         )
         unknown = ~np.isin(
-            stacked[:, 0], np.asarray(list(_EVENT_ARITY), dtype=np.int64)
+            stacked[:, 0], np.asarray(list(_EVENT_FIELDS), dtype=np.int64)
         )
         if np.any(unknown):
             bad = int(stacked[np.argmax(unknown), 0])
@@ -385,8 +420,8 @@ def as_columnar(trace) -> ColumnarTrace:
     """Coerce a :class:`Trace` or :class:`ColumnarTrace` to columnar.
 
     For tuple-form traces this goes through :meth:`Trace.columnar`, so
-    the (validating, per-event) conversion cost is paid once per trace
-    object no matter how many passes or simulations consume it.
+    the conversion cost is paid once per trace object no matter how
+    many passes, simulations, spills or publishes consume it.
     """
     if isinstance(trace, ColumnarTrace):
         return trace

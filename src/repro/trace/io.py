@@ -1,4 +1,4 @@
-"""Trace serialization.
+"""Trace serialization and content digest.
 
 Phase-1 trace generation (functional workload execution) is the
 expensive half of the pipeline for large graphs; saving traces lets a
@@ -9,12 +9,16 @@ column-oriented array set per thread.
 Event columns: ``kind``, ``addr``, ``size`` (barrier id for barrier
 events), ``gap``, ``op`` (-1 when not an atomic), ``ret`` (0/1).
 
-The on-disk layout is shared by the per-event tuple form
-(:class:`~repro.trace.stream.Trace`) and the columnar
-structure-of-arrays form (:class:`~repro.trace.columnar.ColumnarTrace`):
-one file loads as either, :func:`save_trace` accepts both, and
-:func:`trace_digest` hashes both to the same value — so cache keys and
-spec_keys never depend on which representation produced the trace.
+Every per-thread matrix written or hashed here comes from the one
+encoder, :func:`~repro.trace.columnar.encode_events`.  :func:`save_trace`
+reads a tuple trace's memoized :meth:`Trace.columnar()
+<repro.trace.stream.Trace.columnar>` form, the same conversion the
+simulation kernel, the analysis passes and the shared-memory publish
+use.  :func:`trace_digest` encodes thread by thread and keeps nothing,
+so digesting a trace never pins a columnar copy on it.  One file loads
+as either representation, and both hash to the same digest — so cache
+keys and spec_keys never depend on which representation produced the
+trace.
 """
 
 from __future__ import annotations
@@ -23,12 +27,12 @@ import hashlib
 import os
 import zipfile
 import zlib
-from typing import Union
+from typing import Iterable, Union
 
 import numpy as np
 
 from repro.common.errors import TraceError
-from repro.trace.columnar import ColumnarTrace
+from repro.trace.columnar import ColumnarTrace, as_columnar, encode_events
 from repro.trace.events import (
     EV_ATOMIC,
     EV_BARRIER,
@@ -41,27 +45,6 @@ from repro.trace.stream import ThreadTrace, Trace
 _FORMAT_VERSION = 1
 
 AnyTrace = Union[Trace, ColumnarTrace]
-
-
-def _encode_thread(thread: ThreadTrace) -> np.ndarray:
-    """Pack one thread's events into an (N, 6) int64 matrix."""
-    rows = np.empty((len(thread.events), 6), dtype=np.int64)
-    for i, event in enumerate(thread.events):
-        kind = event[0]
-        if kind == EV_BARRIER:
-            rows[i] = (kind, 0, event[1], event[2], -1, 0)
-        elif kind == EV_ATOMIC:
-            rows[i] = (
-                kind,
-                event[1],
-                event[2],
-                event[3],
-                int(event[4]),
-                int(event[5]),
-            )
-        else:
-            rows[i] = (kind, event[1], event[2], event[3], -1, 0)
-    return rows
 
 
 def decode_thread_matrix(thread_id: int, rows: np.ndarray) -> ThreadTrace:
@@ -88,18 +71,17 @@ def decode_thread_matrix(thread_id: int, rows: np.ndarray) -> ThreadTrace:
     return thread
 
 
-#: Backwards-compatible private alias (pre-columnar callers/tests).
-_decode_thread = decode_thread_matrix
-
-
 def _thread_matrices(trace: AnyTrace) -> "list[tuple[int, np.ndarray]]":
-    """Canonical per-thread (id, (N, 6) matrix) pairs for either form."""
-    if isinstance(trace, ColumnarTrace):
-        return [
-            (int(tid), trace.thread_matrix(pos))
-            for pos, tid in enumerate(trace.thread_ids.tolist())
-        ]
-    return [(t.thread_id, _encode_thread(t)) for t in trace.threads]
+    """Canonical per-thread (id, (N, 6) matrix) pairs for either form.
+
+    A tuple trace is read through its :meth:`Trace.columnar` memo, so
+    raises :class:`TraceError` when it is not encodable.
+    """
+    col = as_columnar(trace)
+    return [
+        (int(tid), col.thread_matrix(pos))
+        for pos, tid in enumerate(col.thread_ids.tolist())
+    ]
 
 
 def trace_digest(trace: AnyTrace) -> str:
@@ -111,17 +93,37 @@ def trace_digest(trace: AnyTrace) -> str:
     columnar form).  The experiment runner keys its on-disk result
     cache on this, and the strict pre-flight uses it to skip re-linting
     an already-clean trace.
+
+    A tuple trace is encoded one thread at a time and nothing is kept:
+    the digest deliberately bypasses the :meth:`Trace.columnar` memo.
+    Raises :class:`TraceError` when a tuple trace is not encodable, so
+    two different traces can never share a key.
     """
+    if isinstance(trace, ColumnarTrace):
+        pairs: "Iterable[tuple[int, np.ndarray]]" = _thread_matrices(trace)
+    else:
+        # Going through the memo would pin a columnar copy on every
+        # digested trace, and a warm-cache grid digests every trace it
+        # returns without ever simulating one: doing so raised the
+        # serial warm Figure-7 grid's peak RSS (tiny scale, 2-CPU
+        # host) from 125.0 to 157.4 MB.
+        pairs = (
+            (thread.thread_id, encode_events(thread.events, thread.thread_id))
+            for thread in trace.threads
+        )
     digest = hashlib.sha256()
     digest.update(str(trace.num_threads).encode())
-    for thread_id, matrix in _thread_matrices(trace):
+    for thread_id, matrix in pairs:
         digest.update(str(thread_id).encode())
         digest.update(matrix.tobytes())
     return digest.hexdigest()
 
 
 def save_trace(trace: AnyTrace, path: str | os.PathLike) -> None:
-    """Write a trace (tuple or columnar form) to a ``.npz`` bundle."""
+    """Write a trace (tuple or columnar form) to a ``.npz`` bundle.
+
+    Raises :class:`TraceError` when a tuple trace is not encodable.
+    """
     payload = {
         "version": np.asarray([_FORMAT_VERSION]),
         "name": np.asarray([trace.name]),

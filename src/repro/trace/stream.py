@@ -133,12 +133,19 @@ class Trace:
     def columnar(self):
         """Memoized columnar (SoA) form of this trace.
 
-        The validating per-event conversion is the expensive part of the
-        vectorized paths, and the same trace is typically consumed
-        several times (three simulation modes, plus analysis passes), so
-        the result is cached on the instance.  Traces are append-only
-        during capture and frozen once handed to analysis/simulation;
-        the memo assumes no post-capture mutation.
+        Built once by :func:`~repro.trace.columnar.encode_events`, the
+        one tuple-to-row encoder, and then shared by every consumer of
+        the trace: the C simulation kernel (all modes), the analysis
+        :class:`~repro.analysis.passes.PassManager` (strict pre-flight),
+        :func:`~repro.trace.io.save_trace` (the pool's npz spill) and
+        :func:`~repro.runner.shm.publish_trace`.
+        :func:`~repro.trace.io.trace_digest` deliberately does not build
+        it, so a trace that is only digested (a warm-cache hit) carries
+        no columnar copy.
+
+        The memo's arrays are read-only, so a consumer cannot mutate the
+        shared copy.  Appending events to the tuple form after the memo
+        is built is not detected; traces are complete once capture ends.
 
         Raises :class:`~repro.common.errors.TraceError` (uncached) when
         the trace is not columnar-encodable.

@@ -31,7 +31,7 @@ from repro.cli import main
 from repro.common.errors import TraceError
 from repro.core.api import GraphPimSystem
 from repro.core.presets import workload_params
-from repro.harness.suite import set_strict, strict_enabled, trace_workload
+from repro.harness.suite import trace_workload
 from repro.hmc.commands import HOST_TO_HMC, offloadable_ops
 from repro.memlayout.allocator import AddressSpace
 from repro.memlayout.regions import REGION_SHIFT, Region
@@ -545,22 +545,3 @@ def test_evaluate_strict_passes_on_clean_workload(tiny_csr):
 def test_trace_workload_strict_preflight():
     run = trace_workload("BFS", "tiny", strict=True)
     assert run.trace.num_events > 0
-
-
-def test_deprecated_strict_toggle_still_drives_trace_workload():
-    with pytest.warns(DeprecationWarning):
-        assert strict_enabled() is False
-    with pytest.warns(DeprecationWarning):
-        previous = set_strict(True)
-    assert previous is False
-    try:
-        with pytest.warns(DeprecationWarning):
-            assert strict_enabled() is True
-        # strict=None falls back to the deprecated ambient toggle.
-        run = trace_workload("BFS", "tiny")
-        assert run.trace.num_events > 0
-    finally:
-        with pytest.warns(DeprecationWarning):
-            set_strict(previous)
-    with pytest.warns(DeprecationWarning):
-        assert strict_enabled() is False

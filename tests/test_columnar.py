@@ -1,13 +1,19 @@
 """Columnar trace IR: lossless conversion and digest preservation."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import clear_preflight_cache
 from repro.common.errors import TraceError
+from repro.core.presets import workload_graph, workload_params
 from repro.memlayout.regions import REGION_SHIFT, Region
+from repro.runner.engine import execute_spec
 from repro.runner.fingerprint import config_fingerprint, result_key
+from repro.runner.spec import ExperimentSpec, RunnerConfig
 from repro.sim.config import SystemConfig
 from repro.trace.columnar import ColumnarTrace, as_columnar, encode_events
 from repro.trace.events import EV_ATOMIC, EV_BARRIER, AtomicOp
@@ -18,6 +24,7 @@ from repro.trace.io import (
     trace_digest,
 )
 from repro.trace.stream import ThreadTrace, Trace
+from repro.workloads.registry import FIGURE7_CODES, get_workload
 
 PMR = int(Region.PROPERTY) << REGION_SHIFT
 META = int(Region.META) << REGION_SHIFT
@@ -139,11 +146,24 @@ def _trace_with_events(events):
         (0, 8.5, 8, 0),                    # non-integer field
         (0, 1 << 80, 8, 0),                # exceeds int64
         (),                                # empty tuple
+        (2.0, 8, 8, 0, AtomicOp.ADD, True),  # non-integer kind
+        None,                              # not a tuple at all
     ],
 )
-def test_from_events_rejects_unencodable(event):
-    with pytest.raises(TraceError):
-        ColumnarTrace.from_events(_trace_with_events([event]))
+def test_from_events_rejects_unencodable(event, tmp_path):
+    # Alone, and last after a valid event: an empty tuple there is what
+    # an offsets-based kind lookup would read past the end for.
+    for index, events in enumerate(([event], [(0, 8, 8, 0), event])):
+        trace = _trace_with_events(events)
+        where = rf"thread 0 event {index}\b"
+        with pytest.raises(TraceError, match=where):
+            ColumnarTrace.from_events(trace)
+        # Digest and spill share the encoder, so an unencodable trace
+        # can neither alias another trace's cache key nor be written.
+        with pytest.raises(TraceError, match=where):
+            trace_digest(trace)
+        with pytest.raises(TraceError, match=where):
+            save_trace(trace, tmp_path / "bad.npz")
 
 
 def test_encode_events_accepts_enum_and_bool():
@@ -156,6 +176,16 @@ def test_as_columnar_passthrough():
     trace = _build_trace([[("load", META, 8)]])
     col = as_columnar(trace)
     assert as_columnar(col) is col
+
+
+def test_columnar_memo_is_read_only():
+    trace = _sample_trace()
+    col = trace.columnar()
+    assert trace.columnar() is col
+    with pytest.raises(ValueError, match="read-only"):
+        col.addr[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        col.starts[-1] = 0
 
 
 def test_structural_validation():
@@ -261,3 +291,63 @@ def test_result_cache_key_survives_representation_change(tmp_path):
         result_key(trace_digest(load_columnar(path)), fingerprint, "salt")
         == key_tuple
     )
+
+
+# ---------------------------------------------------------------------------
+# One encoder: golden digests and conversions per job
+# ---------------------------------------------------------------------------
+
+#: trace_digest of the tiny Figure-7 traces (workload_graph seed 7, 16
+#: threads).  Cache keys and spec_keys are built on these, so any change
+#: to the encoding must leave them byte-identical.
+_GOLDEN_TINY_DIGESTS = {
+    "BFS": "e05b0a2d9608a46ace3c71966a2e5080c7efa861bd95f98e8ac80b8c7049596b",
+    "CComp": "eb71b538dce01ad369ff7ea35aed63eab46e517e0475bc0d6c1f5a756f12f340",
+    "DC": "1d1656f455928a56fdd98e164cf790a883099c6f8eca92891497b241be69ec7b",
+    "kCore": "63088ce39c0220029358dd63e4c8f1b3200b98d7078d8767d4ef5137183a801b",
+    "SSSP": "e19e6fab8365e735485ea3b1527845e2478dd97b43e600eaf1aaf1f4147caf2a",
+    "TC": "285854d5005bc91246199dd1eaa10d5965a8d05a54999935f77be0070453972b",
+    "BC": "003d5aeb263b4b51f4eec5ea35347c36a2f510018dc611145ab0b8640fae0be2",
+    "PRank": "177a25291fb6e01000d851971d75af7f540ee1340a5f0a23e2a2988ff84d41b2",
+}
+
+
+def test_golden_tiny_figure7_digests():
+    assert sorted(_GOLDEN_TINY_DIGESTS) == sorted(FIGURE7_CODES)
+    for code, expected in _GOLDEN_TINY_DIGESTS.items():
+        run = get_workload(code).run(
+            workload_graph(code, "tiny"),
+            num_threads=16,
+            **workload_params(code),
+        )
+        assert trace_digest(run.trace) == expected, code
+        assert trace_digest(run.trace.columnar()) == expected, code
+
+
+def test_strict_job_encodes_each_thread_twice(monkeypatch):
+    """Digest once, memo once; pre-flight, kernel and spill share it."""
+    import repro.trace.columnar as columnar_mod
+    import repro.trace.io as io_mod
+
+    calls: Counter = Counter()
+    encode = columnar_mod.encode_events
+
+    def counting_encode(events, thread_id=0):
+        calls[thread_id] += 1
+        return encode(events, thread_id)
+
+    for module in (columnar_mod, io_mod):
+        monkeypatch.setattr(module, "encode_events", counting_encode)
+    clear_preflight_cache()
+    spec = ExperimentSpec.for_workload(
+        "BFS",
+        "tiny",
+        modes=SystemConfig().evaluation_trio(),
+        params=workload_params("BFS"),
+    )
+    payload = execute_spec(
+        spec, RunnerConfig(strict=True, parallel=False, cache_dir=None)
+    )
+    threads = payload["run"].trace.num_threads
+    assert not any(mode["cached"] for mode in payload["modes"].values())
+    assert calls == Counter({tid: 2 for tid in range(threads)})

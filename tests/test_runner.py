@@ -605,18 +605,6 @@ class TestSerialization:
 
 
 class TestSuiteMigration:
-    def test_set_strict_shim_warns_and_still_works(self):
-        from repro.harness import suite
-
-        with pytest.warns(DeprecationWarning, match="set_strict"):
-            previous = suite.set_strict(True)
-        try:
-            with pytest.warns(DeprecationWarning, match="strict_enabled"):
-                assert suite.strict_enabled() is True
-        finally:
-            with pytest.warns(DeprecationWarning):
-                suite.set_strict(previous)
-
     def test_trace_workload_explicit_strict(self):
         from repro.harness.suite import trace_workload
 

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.common.engine as engine_mod
 from repro.common.engine import (
     EngineInfo,
     EngineSelection,
@@ -242,35 +241,6 @@ def test_resolve_engine_env_priority(monkeypatch):
     assert resolve_engine("vectorized") is EngineSelection.VECTORIZED
     monkeypatch.setenv("REPRO_ENGINE", "nonsense")
     assert resolve_engine(None) is EngineSelection.AUTO
-
-
-def test_deprecated_analysis_engine_env_warns(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.setenv("REPRO_ANALYSIS_ENGINE", "legacy")
-    monkeypatch.setattr(engine_mod, "_WARNED_DEPRECATED_ENV", False)
-    with pytest.warns(DeprecationWarning, match="REPRO_ANALYSIS_ENGINE"):
-        assert resolve_engine(None) is EngineSelection.LEGACY
-    # Warned once per process, honored every time.
-    assert resolve_engine(None) is EngineSelection.LEGACY
-
-
-def test_prime_shims_warn():
-    from repro.harness import (
-        prime_evaluation_suite,
-        prime_motivation_suite,
-        prime_plain_atomics_suite,
-    )
-    from repro.harness.suite import clear_caches
-
-    try:
-        with pytest.warns(DeprecationWarning, match="adopt_grid_results"):
-            prime_evaluation_suite("tiny", {})
-        with pytest.warns(DeprecationWarning):
-            prime_motivation_suite("tiny", {})
-        with pytest.warns(DeprecationWarning):
-            prime_plain_atomics_suite("tiny", {})
-    finally:
-        clear_caches()
 
 
 def test_facade_exports():
