@@ -2,8 +2,11 @@
 # CI gate: style lint, type check, tier-1 tests, benchmark self-tests,
 # trace-lint (text + SARIF + baseline gating), analysis-engine benchmark
 # smoke, simulation-kernel equivalence (both engines, diffed JSON),
-# fault-injection smoke runs, a chaos smoke (kill a worker mid-grid,
-# assert bit-identical recovery and no leaked shm segments),
+# fault-injection smoke runs, chaos smokes (kill a worker before
+# tracing; kill one after publishing, so its replacement attaches the
+# shm segment; corrupt every segment, so recovery is by re-tracing —
+# each bit-identical to a serial run, leaking no shm segments and no
+# repro-pool-* temp directories),
 # observability smoke, an end-to-end smoke of the simulation service
 # (boot, submit, SIGTERM drain), and a fleet smoke (two pull-workers,
 # one SIGKILLed mid-lease, bit-identical redispatch).
@@ -205,35 +208,51 @@ fi
 run_or_fail python -m repro cache --cache-dir "$fault_cache" --verify
 rm -rf "$fault_cache"
 
-step "repro run (chaos smoke: kill one worker, bit-identical recovery)"
-# A chaos plan that kills a worker mid-grid must still complete with
-# zero failures and produce workload results byte-identical to a
-# serial chaos-free run, and the supervised pool must leave no shared
-# memory segments behind in /dev/shm.
+step "repro run (chaos smokes: worker kills and shm corruption)"
+# Each chaos plan must still complete with zero failures and produce
+# workload results byte-identical to a serial chaos-free run:
+#   kill=0:0        worker 0 dies before tracing its first job;
+#   kill=0:0:trace  it dies after publishing the trace, so the
+#                   replacement attaches the published shm segment;
+#   shm=1           every published segment is corrupted, so the
+#                   trace is recovered by re-tracing (counted in
+#                   runner.shm_attach_failures, which must be >= 1).
+# Afterwards the supervised pool must have left no shared-memory
+# segments in /dev/shm and no repro-pool-* directory in the temp dir.
 chaos_dir="$(mktemp -d)"
+tmp_root="${TMPDIR:-/tmp}"
+pool_dirs_before="$(find "$tmp_root" -maxdepth 1 -name 'repro-pool-*' | wc -l)"
 run_or_fail python -m repro run --scale tiny --no-parallel --no-cache \
     --json > "$chaos_dir/serial.json"
-run_or_fail python -m repro run --scale tiny --jobs 2 --no-cache \
-    --chaos "kill=0:0,seed=7" --json > "$chaos_dir/chaos.json"
-if python -c '
+for plan in "kill=0:0,seed=7" "kill=0:0:trace,seed=7" "shm=1,seed=7"; do
+    run_or_fail python -m repro run --scale tiny --jobs 2 --no-cache \
+        --chaos "$plan" --json > "$chaos_dir/chaos.json"
+    if python -c '
 import json, sys
 serial = json.load(open(sys.argv[1]))
 chaos = json.load(open(sys.argv[2]))
-assert chaos["runner"]["failures"] == [], chaos["runner"]["failures"]
+plan = sys.argv[3]
+runner = chaos["runner"]
+assert runner["failures"] == [], runner["failures"]
 a, b = serial["workloads"], chaos["workloads"]
 assert a.keys() == b.keys() and a, "workload sets differ"
 for code in a:
     if a[code] != b[code]:
         raise SystemExit(f"chaos results differ for {code}")
-crashes = chaos["runner"]["worker_crashes"]
-print(f"chaos diff: {len(a)} workload(s) byte-identical, "
-      f"{crashes} worker crash(es) survived")
-' "$chaos_dir/serial.json" "$chaos_dir/chaos.json"; then
-    echo "chaos recovery smoke passed"
-else
-    echo "chaos recovery smoke FAILED"
-    failures=$((failures + 1))
-fi
+crashes = runner["worker_crashes"]
+retraced = runner["shm_attach_failures"]
+if plan.startswith("shm="):
+    assert retraced >= 1, "no segment was re-traced"
+print(f"chaos {plan}: {len(a)} workload(s) byte-identical, "
+      f"{crashes} worker crash(es) survived, "
+      f"{retraced} segment(s) re-traced")
+' "$chaos_dir/serial.json" "$chaos_dir/chaos.json" "$plan"; then
+        echo "chaos smoke passed ($plan)"
+    else
+        echo "chaos smoke FAILED ($plan)"
+        failures=$((failures + 1))
+    fi
+done
 if [ -d /dev/shm ]; then
     leftover="$(find /dev/shm -maxdepth 1 -name 'repro_*' | wc -l)"
     if [ "$leftover" -ne 0 ]; then
@@ -243,6 +262,14 @@ if [ -d /dev/shm ]; then
     else
         echo "shm leak check passed (no repro_* segments left)"
     fi
+fi
+pool_dirs_after="$(find "$tmp_root" -maxdepth 1 -name 'repro-pool-*' | wc -l)"
+if [ "$pool_dirs_after" -gt "$pool_dirs_before" ]; then
+    echo "chaos smoke FAILED: repro-pool-* directories appeared in $tmp_root"
+    find "$tmp_root" -maxdepth 1 -name 'repro-pool-*'
+    failures=$((failures + 1))
+else
+    echo "temp-dir check passed (no repro-pool-* directories created)"
 fi
 rm -rf "$chaos_dir"
 

@@ -53,7 +53,7 @@ class ChaosPlan:
     #: ``heartbeat_timeout_s`` reads as a hang to the supervisor.
     stall_seconds: float = 0.0
     #: Flip payload bytes in every published shm segment, forcing the
-    #: CRC check to fail and the npz fallback to engage.
+    #: CRC check to fail and recovery by re-tracing to engage.
     corrupt_shm: bool = False
     #: Flip bytes in up to this many result-cache object files before
     #: the grid starts (corrupt entries must read as misses).

@@ -27,10 +27,10 @@
     python -m repro run --log-level info --log-json  # structured logs
 
 ``repro run`` without a workload executes the evaluation grid through
-the experiment runner: jobs fan out over a process pool (``--jobs``,
-``--no-parallel``) and results persist in a content-addressed cache
-(``.repro_cache/``), so a repeated invocation performs zero
-simulations.
+the experiment runner: jobs fan out over a supervised worker pool
+(``--jobs``, ``--no-parallel``) and results persist in a
+content-addressed cache (``.repro_cache/``), so a repeated invocation
+performs zero simulations.
 
 Exit codes: 0 on success, 1 when ``lint`` reports ERROR findings, 2 on
 invalid invocations (unknown subcommand/workload, bad input file) — so
@@ -179,14 +179,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="simulation engine: auto (batch kernel with per-trace "
         "fallback), vectorized, or legacy (the per-event reference "
         "interpreter); default: REPRO_ENGINE or auto",
-    )
-    run.add_argument(
-        "--pool",
-        choices=("supervised", "executor"),
-        default=None,
-        help="grid mode: parallel dispatch strategy — supervised "
-        "(heartbeat-monitored workers with crash recovery, the "
-        "default) or executor (plain ProcessPoolExecutor)",
     )
     run.add_argument(
         "--heartbeat-timeout",
@@ -850,8 +842,6 @@ def _cmd_run_grid(args) -> int:
     if log_level is None and args.log_json:
         log_level = "info"
     extra: dict = {}
-    if args.pool is not None:
-        extra["pool"] = args.pool
     if args.heartbeat_timeout is not None:
         extra["heartbeat_timeout_s"] = args.heartbeat_timeout
     if args.max_pool_restarts is not None:

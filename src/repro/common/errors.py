@@ -44,7 +44,8 @@ class ShmError(ReproError):
 
     Raised by :mod:`repro.runner.shm` when a segment fails its
     magic/version/CRC32 verification on attach; consumers treat it as
-    "fall back to the npz spill file", never as a fatal grid error.
+    "re-trace the workload", never as a fatal grid error.  The pool also
+    raises it when a re-traced digest differs from the published one.
     """
 
 

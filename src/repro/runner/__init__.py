@@ -1,8 +1,8 @@
 """Parallel experiment runner with a persistent result cache.
 
 Turns the harness's implicit (workload, scale, mode) grid into explicit
-:class:`ExperimentSpec` jobs, fans them out across a process pool, and
-backs every simulation with a content-addressed on-disk cache
+:class:`ExperimentSpec` jobs, fans them out across a supervised worker
+pool, and backs every simulation with a content-addressed on-disk cache
 (``.repro_cache/`` by default) keyed by trace hash + config fingerprint
 + code-version salt — a repeated grid performs zero simulations.
 
@@ -16,8 +16,8 @@ Entry points:
 - :class:`ExperimentRunner` — execute an arbitrary spec list.
 - :class:`ResultCache` — cache inspection/maintenance (``repro cache``).
 - :class:`SupervisedWorkerPool` — the heartbeat-monitored worker pool
-  behind parallel grids (``RunnerConfig.pool="supervised"``), with
-  shared-memory trace hand-off and crash/hang/poison recovery.
+  behind every parallel grid, with shared-memory trace hand-off and
+  crash/hang/poison recovery.
 """
 
 from repro.chaos import ChaosPlan
@@ -33,7 +33,6 @@ from repro.runner.engine import (
     SpecOutcome,
     evaluation_grid_specs,
     execute_spec,
-    execute_spec_async,
     motivation_extra_specs,
     plain_atomics_specs,
     run_evaluation_grid,
@@ -87,7 +86,6 @@ __all__ = [
     "config_fingerprint",
     "evaluation_grid_specs",
     "execute_spec",
-    "execute_spec_async",
     "motivation_extra_specs",
     "plain_atomics_specs",
     "publish_trace",

@@ -3,26 +3,27 @@
 One :class:`ExperimentSpec` is executed by :func:`execute_spec` —
 trace the workload once, then for each mode either load the simulation
 result from the content-addressed cache or simulate and store it.  The
-function is a plain picklable top-level callable, so the same code runs
-in-process (``parallel=False``) and inside ``ProcessPoolExecutor``
-workers; results are bit-identical either way because each job is
-internally deterministic and jobs share nothing.
+same two phases (:func:`trace_spec`, :func:`simulate_spec_modes`) run
+in-process (``parallel=False``) and inside the workers of the
+supervised pool (:mod:`repro.runner.pool`), the one parallel path;
+results are bit-identical either way because each job is internally
+deterministic and jobs share nothing.
 
 Worker IPC uses the stable ``SimResult.to_dict()`` payloads (the same
 representation the disk cache stores); the traced
-:class:`~repro.workloads.base.WorkloadRun` rides along by pickle so
-downstream experiments can re-simulate the trace under swept configs.
+:class:`~repro.workloads.base.WorkloadRun` reaches the parent through
+the pool's shared-memory segment so downstream experiments can
+re-simulate the trace under swept configs.
 
-If the worker pool breaks (a worker segfaults or is OOM-killed), the
-engine transparently re-runs the affected jobs in-process and flags the
-fallback in the :class:`RunnerReport` instead of failing the grid.
+If the pool's circuit opens (workers keep dying and the restart budget
+is spent), the engine re-runs the remaining jobs in-process and flags
+the fallback in the :class:`RunnerReport` instead of failing the grid.
 
 Resilience features ride on :class:`RunnerConfig`:
 
 - ``job_timeout_s`` — pool jobs that exceed their wall-clock budget are
-  abandoned and retried with exponential backoff (``job_retries``,
-  ``backoff_base_s``, ``backoff_factor``); the clock and sleep used for
-  the schedule are injectable for tests.
+  abandoned and retried with full-jitter exponential backoff
+  (``job_retries``, ``backoff_base_s``, ``backoff_factor``).
 - ``allow_partial`` — failed jobs become structured
   :class:`~repro.runner.spec.JobFailure` records on the report and the
   grid returns the surviving outcomes instead of raising.
@@ -34,9 +35,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -248,55 +246,25 @@ def execute_spec(
     }
 
 
-async def execute_spec_async(
-    spec: ExperimentSpec,
-    config: RunnerConfig,
-    executor=None,
-) -> dict:
-    """Single-spec asynchronous path (the service broker's hook).
-
-    Runs :func:`execute_spec` off the event loop — in ``executor``
-    (typically the broker's bounded ``ThreadPoolExecutor``) or the
-    loop's default executor — and returns the same payload dict.
-    Tracing and simulation release work to the cache exactly as the
-    grid path does, so a spec answered by the service and the same
-    spec run through ``repro run`` share cache objects bit-for-bit.
-    """
-    import asyncio
-
-    loop = asyncio.get_running_loop()
-    return await loop.run_in_executor(
-        executor, execute_spec, spec, config
-    )
-
-
-def _make_executor(max_workers: int) -> ProcessPoolExecutor:
-    """Pool construction hook (tests substitute a broken pool here)."""
-    return ProcessPoolExecutor(max_workers=max_workers)
-
-
 class ExperimentRunner:
     """Executes a grid of specs under one :class:`RunnerConfig`.
 
-    ``clock`` and ``sleep`` default to the real monotonic clock and
-    :func:`time.sleep`; tests inject fakes to verify the timeout and
-    backoff schedules without waiting them out.  ``backoff_rng`` maps a
-    spec_key to the :class:`random.Random` driving that job's
-    full-jitter retry backoff — the default seeds from the spec_key
-    itself, so retry schedules are deterministic per job yet
-    decorrelated across jobs (no synchronized retry stampedes).
+    ``clock`` defaults to the real monotonic clock; it times queue waits.
+    ``backoff_rng`` maps a spec_key to the :class:`random.Random`
+    driving that job's full-jitter retry backoff in the pool — the
+    default seeds from the spec_key itself, so retry schedules are
+    deterministic per job yet decorrelated across jobs (no synchronized
+    retry stampedes).
     """
 
     def __init__(
         self,
         config: Optional[RunnerConfig] = None,
         clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
         backoff_rng: Optional[Callable[[str], random.Random]] = None,
     ):
         self.config = config or RunnerConfig()
         self._clock = clock
-        self._sleep = sleep
         self._backoff_rng = backoff_rng or (
             lambda key: random.Random(f"backoff:{key}")
         )
@@ -333,9 +301,9 @@ class ExperimentRunner:
         exhausted timeout retries) raise :class:`RunnerError` unless
         ``allow_partial`` is set, in which case the surviving outcomes
         are returned and the report carries one
-        :class:`~repro.runner.spec.JobFailure` per lost job.  Pool
-        breakage alone is never a failure — affected jobs are re-run
-        in-process.  With ``resume``, specs whose key appears in the
+        :class:`~repro.runner.spec.JobFailure` per lost job.  An open
+        pool circuit alone is never a failure — the remaining jobs are
+        re-run in-process.  With ``resume``, specs whose key appears in the
         cache root's checkpoint journal are skipped entirely.
 
         ``on_frame`` receives live ``(spec index, ProgressSnapshot)``
@@ -408,26 +376,15 @@ class ExperimentRunner:
             corrupt_cache_entries(self.config.cache_dir, chaos)
         outcomes: list[Optional[SpecOutcome]] = [None] * len(specs)
         if use_pool:
-            if self.config.pool == "supervised":
-                retry = self._run_supervised(
-                    specs, records, outcomes, progress, pending, report
-                )
-            else:
-                retry = self._run_pool(
-                    specs, records, outcomes, progress, pending
-                )
-                if retry:
-                    report.pool_restarts += 1
+            retry = self._run_supervised(
+                specs, records, outcomes, progress, pending, report
+            )
             if retry:
                 report.fell_back = True
                 _log.error(
                     "pool broken: re-running %d job(s) in-process",
                     len(retry),
-                    extra={
-                        "event": "pool_broken",
-                        "jobs": len(retry),
-                        "pool": self.config.pool,
-                    },
+                    extra={"event": "pool_broken", "jobs": len(retry)},
                 )
                 for index in retry:
                     self._run_inline(
@@ -516,59 +473,6 @@ class ExperimentRunner:
     # Execution paths
     # ------------------------------------------------------------------
 
-    def _run_pool(
-        self,
-        specs: "list[ExperimentSpec]",
-        records: "list[JobRecord]",
-        outcomes: "list[Optional[SpecOutcome]]",
-        progress: Optional[ProgressFn],
-        pending: "list[int]",
-    ) -> "list[int]":
-        """Fan out over a process pool; returns indexes needing retry."""
-        retry: list[int] = []
-        try:
-            executor = _make_executor(self.config.resolved_jobs())
-        except OSError:
-            return list(pending)
-        with executor:
-            futures = {}
-            for index in pending:
-                try:
-                    future = executor.submit(
-                        execute_spec, specs[index], self.config
-                    )
-                except (BrokenProcessPool, RuntimeError, OSError):
-                    retry.append(index)
-                    continue
-                futures[future] = index
-                self._submitted[index] = self._clock()
-                records[index].status = "running"
-                records[index].executor = "worker"
-                _log.debug(
-                    "job submitted: %s",
-                    records[index].job_id,
-                    extra={
-                        "event": "job_submitted",
-                        "job_id": records[index].job_id,
-                        "spec_key": self._spec_keys[index],
-                    },
-                )
-            for future, index in futures.items():
-                if self._await_future(
-                    executor, future, index, specs, records, outcomes,
-                    progress,
-                ):
-                    retry.append(index)
-            if any(f.kind == "timeout" for f in self._failures):
-                # Workers may still be grinding abandoned jobs; kill
-                # them so pool shutdown (and CI) cannot wedge on a hung
-                # simulation.
-                for proc in list(
-                    getattr(executor, "_processes", {}).values()
-                ):
-                    proc.terminate()
-        return retry
-
     def _run_supervised(
         self,
         specs: "list[ExperimentSpec]",
@@ -640,85 +544,6 @@ class ExperimentRunner:
         report.worker_crashes += result.worker_crashes
         report.shm_attach_failures += result.shm_attach_failures
         return list(result.leftover)
-
-    def _await_future(
-        self,
-        executor,
-        future,
-        index: int,
-        specs: "list[ExperimentSpec]",
-        records: "list[JobRecord]",
-        outcomes: "list[Optional[SpecOutcome]]",
-        progress: Optional[ProgressFn],
-    ) -> bool:
-        """Collect one pool job, enforcing the per-job deadline.
-
-        A timed-out job is resubmitted up to ``job_retries`` times with
-        full-jitter exponential backoff (the n-th retry sleeps a
-        uniform draw from ``[0, base * factor**(n-1)]``, seeded per
-        spec_key); exhausting the budget records a structured timeout
-        failure.  Returns True when the pool broke and the job must be
-        re-run in-process instead.
-        """
-        config = self.config
-        record = records[index]
-        rng = self._backoff_rng(self._spec_keys[index])
-        while True:
-            record.attempts += 1
-            try:
-                if config.job_timeout_s is None:
-                    payload = future.result()
-                else:
-                    payload = future.result(
-                        timeout=config.job_timeout_s
-                    )
-            except FuturesTimeoutError:
-                future.cancel()
-                if record.attempts > config.job_retries:
-                    self._fail(
-                        record,
-                        "timeout",
-                        f"timed out after {config.job_timeout_s}s "
-                        f"(attempt {record.attempts})",
-                        progress,
-                    )
-                    return False
-                cap = config.backoff_base_s * (
-                    config.backoff_factor ** (record.attempts - 1)
-                )
-                delay = rng.uniform(0.0, cap)
-                _log.warning(
-                    "job retry: %s (attempt %d)",
-                    record.job_id,
-                    record.attempts + 1,
-                    extra={
-                        "event": "job_retry",
-                        "job_id": record.job_id,
-                        "spec_key": self._spec_keys[index],
-                        "attempt": record.attempts + 1,
-                        "backoff_seconds": delay,
-                    },
-                )
-                self._sleep(delay)
-                try:
-                    future = executor.submit(
-                        execute_spec, specs[index], self.config
-                    )
-                except (BrokenProcessPool, RuntimeError, OSError):
-                    record.status = "queued"
-                    return True
-                self._submitted[index] = self._clock()
-                continue
-            except (BrokenProcessPool, OSError):
-                record.status = "queued"
-                return True
-            except ReproError as error:
-                self._fail(record, "error", str(error), progress)
-                return False
-            self._finish(record, payload, specs[index], outcomes, index)
-            if progress is not None:
-                progress(record)
-            return False
 
     def _fail(
         self,

@@ -1,13 +1,19 @@
 """Supervised worker pool with heartbeats, crash recovery, shm traces.
 
-The replacement for the bare ``ProcessPoolExecutor`` fan-out: each
-worker is a spawned process wired to the supervisor by one duplex pipe.
-Workers trace a spec, publish the trace into a CRC32-stamped
-shared-memory segment (:mod:`repro.runner.shm`) with an ``.npz`` spill
-file as the fallback transport, report the published handle
-(``traced``), simulate the spec's modes, and report the results
-(``done``) — while a daemon thread emits periodic heartbeats the whole
-time.
+The runner's one parallel path: each worker is a spawned process wired
+to the supervisor by one duplex pipe.  Workers trace a spec, publish the
+trace into a CRC32-stamped shared-memory segment
+(:mod:`repro.runner.shm`) under a name the supervisor assigned with the
+job, report the published handle (``traced``), simulate the spec's
+modes, and report the results (``done``) — while a daemon thread emits
+periodic heartbeats the whole time.
+
+The segment is the only trace transport.  Whoever needs the trace later
+(a replacement worker, or the supervisor rebuilding the finished job's
+``WorkloadRun``) attaches it; when the segment is missing or fails its
+magic/CRC check, or the worker could not publish at all, the consumer
+re-traces the spec instead — tracing is deterministic — and requires
+the re-traced digest to equal the published one (:func:`load_run`).
 
 The supervisor multiplexes every worker pipe and process sentinel
 through :func:`multiprocessing.connection.wait` and reacts to the
@@ -16,37 +22,39 @@ failure taxonomy:
 - **crash** — the process sentinel fires (segfault, OOM kill, chaos
   ``os._exit``).  The in-flight job is re-dispatched to a surviving
   worker; if the trace was already published, the replacement attaches
-  the shm segment (or loads the spill) instead of re-tracing.
+  the shm segment instead of re-tracing.
 - **hang** — no heartbeat for ``heartbeat_timeout_s``.  The worker is
   SIGKILLed and treated as a crash.
 - **timeout** — a job exceeds ``job_timeout_s``.  The worker is killed
   and the job retried with full-jitter exponential backoff up to
-  ``job_retries``, then recorded as a structured timeout failure.
+  ``job_retries``, then recorded as a structured timeout failure.  A
+  timeout kill does not spend the restart budget below.
 - **poisoned spec** — the same job kills two workers.  It is
   quarantined as ``JobFailure(kind="poisoned")`` instead of grinding
   the pool down forever.
 
-Dead workers are replaced up to ``max_pool_restarts`` times; once the
-budget is spent and no workers survive, the circuit opens and the
-remaining jobs are handed back to the engine for serial in-process
-execution.  ``shutdown()`` reaps every child and unlinks every shm
+Workers lost to crashes and hangs are replaced up to
+``max_pool_restarts`` times; once the budget is spent and no workers
+survive, the circuit opens and the remaining jobs are handed back to
+the engine for serial in-process execution.  ``shutdown()`` reaps every child and unlinks every shm
 segment, and the pool converts SIGTERM into an exception that unwinds
 through that cleanup — a terminated grid leaves no orphans and no
-``/dev/shm`` litter.
+``/dev/shm`` litter.  Because the supervisor names every segment, it can
+unlink one even when the worker that created it died before reporting
+it.
 
 Chaos hooks (:class:`~repro.chaos.plan.ChaosPlan` riding on
 ``RunnerConfig``) fire at the worker-side injection points: deliberate
 ``os._exit`` before a job or after publishing its trace, a silenced
-heartbeat thread, and a crash on a designated poison workload.
+worker (the stall holds the pipe's send lock, so neither beats nor job
+messages leave it), and a crash on a designated poison workload.
 """
 
 from __future__ import annotations
 
 import os
 import random
-import shutil
 import signal
-import tempfile
 import threading
 import time
 from collections import deque
@@ -62,10 +70,10 @@ from repro.runner.shm import (
     attach_trace,
     corrupt_segment,
     publish_trace,
+    segment_name,
     unlink_segment,
 )
 from repro.runner.spec import ExperimentSpec, RunnerConfig
-from repro.trace.io import load_trace, save_trace
 from repro.workloads.base import WorkloadRun
 
 _log = get_logger("runner.pool")
@@ -90,9 +98,7 @@ _SPAWN_GRACE_S = 60.0
 # ----------------------------------------------------------------------
 
 
-def _worker_main(
-    conn, worker_id: int, config: RunnerConfig, spill_dir: str
-) -> None:
+def _worker_main(conn, worker_id: int, config: RunnerConfig) -> None:
     """Worker entry point: heartbeat thread + job loop over the pipe."""
     import repro.workloads  # noqa: F401  (registry side effects)
 
@@ -124,9 +130,12 @@ def _worker_main(
                 and state["jobs_done"] >= chaos.stall_after_jobs
             ):
                 # Chaos: go silent mid-job; the supervisor must read
-                # the missing beats as a hang and kill us.
+                # the silence as a hang and kill us.  Holding the send
+                # lock also mutes the job thread, whose messages would
+                # otherwise count as signs of life.
                 stalled = True
-                time.sleep(chaos.stall_seconds)
+                with send_lock:
+                    time.sleep(chaos.stall_seconds)
                 continue
             seq += 1
             # Piggyback buffered progress frames on the beat: the pipe
@@ -155,7 +164,7 @@ def _worker_main(
             break
         if message[0] == "quit":
             break
-        _, index, spec, resume = message
+        _, index, spec, resume, segment = message
         if chaos is not None:
             if (
                 worker_id == chaos.kill_worker
@@ -174,9 +183,11 @@ def _worker_main(
             )
         try:
             payload = _execute_job(
-                spec, config, resume, spill_dir, worker_id, index,
+                spec, config, resume, segment, worker_id, index,
                 send, state,
             )
+        except ShmError as error:  # published trace unrecoverable
+            send((_MSG_ERR, index, "crash", str(error)))
         except ReproError as error:
             send((_MSG_ERR, index, "error", str(error)))
         except OSError as error:
@@ -199,7 +210,7 @@ def _execute_job(
     spec: ExperimentSpec,
     config: RunnerConfig,
     resume: Optional[dict],
-    spill_dir: str,
+    segment: str,
     worker_id: int,
     index: int,
     send: Callable[[tuple], None],
@@ -212,31 +223,23 @@ def _execute_job(
     attach_failures = 0
     if resume is not None:
         # Re-dispatched after another worker died mid-job: the trace
-        # was already published, so attach it instead of re-tracing
-        # (and skip the preflight — it gated the original trace).
-        trace, attach_failures = _reload_trace(resume)
+        # was already published, so attach it (re-tracing only when the
+        # segment is unusable) and skip the job's first phase.
+        run, attach_failures = load_run(index, spec, config, resume)
         trace_hash = resume["trace_hash"]
-        core = resume["run_core"]
-        run = WorkloadRun(
-            workload=core["workload"],
-            trace=trace,
-            address_space=core["address_space"],
-            outputs=core["outputs"],
-        )
     else:
         run, trace_hash = engine_mod.trace_spec(spec, config)
-        npz_path = os.path.join(spill_dir, f"job{index}.npz")
-        save_trace(run.trace, npz_path)
         try:
-            shm_ref: Optional[ShmTraceRef] = publish_trace(run.trace)
+            shm_ref: Optional[ShmTraceRef] = publish_trace(
+                run.trace, name=segment
+            )
         except (ShmError, OSError):
             # No shared memory available (tiny /dev/shm, exhausted
-            # fds): the npz spill alone still carries the trace.
+            # fds): whoever needs the trace later re-traces it.
             shm_ref = None
         send(
             (_MSG_TRACED, index, {
                 "shm": shm_ref,
-                "npz": npz_path,
                 "trace_hash": trace_hash,
                 "run_core": {
                     "workload": run.workload,
@@ -269,16 +272,51 @@ def _execute_job(
     }
 
 
-def _reload_trace(resume: dict) -> "tuple":
-    """Attach the published trace; fall back to the npz spill."""
-    failures = 0
-    ref = resume.get("shm")
+def load_run(
+    index: int, spec: ExperimentSpec, config: RunnerConfig, published: dict
+) -> "tuple[WorkloadRun, int]":
+    """Rebuild a job's published ``WorkloadRun``; returns it and the
+    number of failed shm attaches (0 or 1).
+
+    Serves both worker resume and supervisor-side rehydration: attach
+    the published segment, or — when there is none, or it is missing
+    or fails its magic/CRC check — re-run
+    :func:`~repro.runner.engine.trace_spec` and require the re-traced
+    digest to equal the published one.  Raises :class:`ShmError` when
+    it does not.
+    """
+    from repro.runner import engine as engine_mod
+
+    ref = published.get("shm")
     if ref is not None:
         try:
-            return attach_trace(ref), failures
-        except ShmError:
-            failures = 1
-    return load_trace(resume["npz"]), failures
+            trace = attach_trace(ref)
+        except ShmError as error:
+            _log.warning(
+                "shm attach failed for job %d, re-tracing: %s",
+                index,
+                error,
+                extra={
+                    "event": "shm_attach_failed",
+                    "job_index": index,
+                    "segment": ref.name,
+                },
+            )
+        else:
+            core = published["run_core"]
+            return WorkloadRun(
+                workload=core["workload"],
+                trace=trace,
+                address_space=core["address_space"],
+                outputs=core["outputs"],
+            ), 0
+    run, trace_hash = engine_mod.trace_spec(spec, config)
+    if trace_hash != published["trace_hash"]:
+        raise ShmError(
+            f"re-traced {spec.job_id} digests to {trace_hash}, but the "
+            f"published trace was {published['trace_hash']}"
+        )
+    return run, int(ref is not None)
 
 
 # ----------------------------------------------------------------------
@@ -298,6 +336,9 @@ class _Job:
     #: Published-trace handle (set on the ``traced`` message); a
     #: re-dispatch ships it so the next worker skips tracing.
     resume: Optional[dict] = None
+    #: Segment names assigned to this job's dispatches; the supervisor
+    #: unlinks them all, whether or not a worker reported publishing.
+    segments: "list[str]" = field(default_factory=list)
     not_before: float = 0.0
     dispatched_at: float = 0.0
     backoff_rng: Optional[random.Random] = None
@@ -323,14 +364,15 @@ class PoolOutcome:
     #: Jobs the pool could not execute because the circuit opened
     #: (the engine re-runs them serially in-process).
     leftover: "list[int]" = field(default_factory=list)
-    #: Replacement workers spawned after deaths (bounded by
-    #: ``max_pool_restarts``).
+    #: Replacement workers spawned after crashes and hangs (bounded by
+    #: ``max_pool_restarts``; timeout kills are replaced for free).
     restarts: int = 0
     #: Workers that died unexpectedly (crash) or were killed for
     #: missing heartbeats (hang).
     worker_crashes: int = 0
-    #: Shm attaches that failed CRC/magic verification and fell back
-    #: to the npz spill (worker- and parent-side combined).
+    #: Shm attaches that failed (missing segment, CRC/magic mismatch)
+    #: and were recovered by re-tracing (worker- and parent-side
+    #: combined).
     shm_attach_failures: int = 0
     circuit_open: bool = False
 
@@ -361,8 +403,7 @@ class SupervisedWorkerPool:
         self._workers: "dict[int, _Worker]" = {}
         self._next_worker_id = 0
         self._target = 1
-        self._spill_dir: Optional[str] = None
-        self._segments: "dict[int, ShmTraceRef]" = {}
+        self._jobs: "list[_Job]" = []
         self._queue: "deque[_Job]" = deque()
         self._unfinished: "set[int]" = set()
         self._outcome = PoolOutcome()
@@ -388,8 +429,8 @@ class SupervisedWorkerPool:
         ``finally`` regardless of how this returns or raises.
         """
         self._collect = collect
-        self._spill_dir = tempfile.mkdtemp(prefix="repro-pool-")
-        self._queue = deque(_Job(index, spec) for index, spec in jobs)
+        self._jobs = [_Job(index, spec) for index, spec in jobs]
+        self._queue = deque(self._jobs)
         self._unfinished = {index for index, _ in jobs}
         self._target = min(self.config.resolved_jobs(), len(jobs))
         main_thread = (
@@ -425,7 +466,7 @@ class SupervisedWorkerPool:
         return self._outcome
 
     def shutdown(self) -> None:
-        """Reap every child, unlink every segment, drop the spill dir.
+        """Reap every child, then unlink every segment name assigned.
 
         Idempotent, and safe mid-grid: an exception (including the
         SIGTERM-turned-RunnerError) unwinding through the engine's
@@ -449,12 +490,9 @@ class SupervisedWorkerPool:
                 worker.conn.close()
             except OSError:
                 pass
-        for ref in self._segments.values():
-            unlink_segment(ref.name)
-        self._segments.clear()
-        if self._spill_dir is not None:
-            shutil.rmtree(self._spill_dir, ignore_errors=True)
-            self._spill_dir = None
+        for job in self._jobs:
+            self._cleanup_job(job)
+        self._jobs = []
 
     # -- scheduling -----------------------------------------------------
 
@@ -464,7 +502,7 @@ class SupervisedWorkerPool:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, worker_id, self.config, self._spill_dir),
+            args=(child_conn, worker_id, self.config),
             name=f"repro-pool-{worker_id}",
             daemon=True,
         )
@@ -501,8 +539,12 @@ class SupervisedWorkerPool:
             job = self._next_ready_job(now)
             if job is None:
                 return
+            segment = segment_name()
+            job.segments.append(segment)
             try:
-                worker.conn.send(("job", job.index, job.spec, job.resume))
+                worker.conn.send(
+                    ("job", job.index, job.spec, job.resume, segment)
+                )
             except (OSError, ValueError):
                 # Dying worker; its sentinel will surface the death.
                 self._queue.appendleft(job)
@@ -588,18 +630,10 @@ class SupervisedWorkerPool:
             _, index, ref = message
             job = worker.job
             if job is None or job.index != index:
-                # Stale message from an abandoned dispatch (e.g. the
-                # job timed out and was detached): the parent is the
-                # only process left that knows this segment's name, so
-                # unlink it here or it leaks until interpreter exit.
-                stale_shm = ref.get("shm")
-                if stale_shm is not None:
-                    unlink_segment(stale_shm.name)
-                return
+                return  # abandoned dispatch; its segment name is known
             job.resume = ref
             shm_ref = ref.get("shm")
             if shm_ref is not None:
-                self._segments[index] = shm_ref
                 if self.chaos is not None and self.chaos.corrupt_shm:
                     corrupt_segment(
                         shm_ref.name, self.chaos.rng("shm", index)
@@ -648,18 +682,23 @@ class SupervisedWorkerPool:
         self._forward_frames(
             [(job.index, snap) for snap in lite.get("frames", [])]
         )
-        run = self._rehydrate_run(job)
-        if run is None:
-            self._fail_job(
-                job, "crash",
-                "published trace unreadable after job completion "
-                "(shm and npz spill both failed)",
-            )
-            return
         queue_seconds = max(
             0.0,
             (time.monotonic() - job.dispatched_at) - lite["seconds"],
         )
+        try:
+            run, failures = load_run(
+                job.index, job.spec, self.config,
+                job.resume or {"trace_hash": lite["trace_hash"]},
+            )
+        except (ReproError, OSError) as error:
+            self._fail_job(
+                job, "crash",
+                f"published trace unrecoverable after job completion: "
+                f"{error}",
+            )
+            return
+        self._outcome.shm_attach_failures += failures
         self._cleanup_job(job)
         self._unfinished.discard(job.index)
         self._collect(job.index, {
@@ -674,41 +713,6 @@ class SupervisedWorkerPool:
             "queue_seconds": queue_seconds,
         })
 
-    def _rehydrate_run(self, job: _Job) -> Optional[WorkloadRun]:
-        """Rebuild the finished job's WorkloadRun from shm (or spill)."""
-        ref = job.resume
-        if ref is None:  # a done message without a traced message
-            return None
-        trace = None
-        shm_ref = ref.get("shm")
-        if shm_ref is not None:
-            try:
-                trace = attach_trace(shm_ref)
-            except ShmError as error:
-                self._outcome.shm_attach_failures += 1
-                _log.warning(
-                    "shm attach failed for job %d, using npz spill: %s",
-                    job.index,
-                    error,
-                    extra={
-                        "event": "shm_attach_failed",
-                        "job_index": job.index,
-                        "segment": shm_ref.name,
-                    },
-                )
-        if trace is None:
-            try:
-                trace = load_trace(ref["npz"])
-            except (ReproError, OSError):
-                return None
-        core = ref["run_core"]
-        return WorkloadRun(
-            workload=core["workload"],
-            trace=trace,
-            address_space=core["address_space"],
-            outputs=core["outputs"],
-        )
-
     def _fail_job(self, job: _Job, kind: str, message: str) -> None:
         self._cleanup_job(job)
         self._unfinished.discard(job.index)
@@ -720,15 +724,11 @@ class SupervisedWorkerPool:
         })
 
     def _cleanup_job(self, job: _Job) -> None:
-        ref = self._segments.pop(job.index, None)
-        if ref is not None:
-            unlink_segment(ref.name)
-        resume = job.resume
-        if resume is not None and resume.get("npz"):
-            try:
-                os.unlink(resume["npz"])
-            except OSError:
-                pass
+        # Names stay listed: a worker condemned for a timeout may still
+        # create its segment before the kill lands, and shutdown()
+        # unlinks every name again once all workers are reaped.
+        for name in job.segments:
+            unlink_segment(name)
 
     # -- supervision ----------------------------------------------------
 
@@ -854,16 +854,19 @@ class SupervisedWorkerPool:
                         "resumed": job.resume is not None,
                     },
                 )
-        self._maybe_replace()
+        self._maybe_replace(charge=count_crash)
 
-    def _maybe_replace(self) -> None:
+    def _maybe_replace(self, charge: bool) -> None:
+        """Top the pool back up; ``charge`` spends the restart budget
+        (crash and hang deaths do, timeout kills do not)."""
         remaining = len(self._unfinished)
-        while (
-            remaining > 0
-            and len(self._workers) < min(self._target, remaining)
-            and self._outcome.restarts < self.config.max_pool_restarts
+        while remaining > 0 and len(self._workers) < min(
+            self._target, remaining
         ):
-            self._outcome.restarts += 1
+            if charge:
+                if self._outcome.restarts >= self.config.max_pool_restarts:
+                    return
+                self._outcome.restarts += 1
             self._spawn_worker(initial=False)
 
     def _open_circuit(self) -> None:

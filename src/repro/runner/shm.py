@@ -6,7 +6,9 @@ worker; shipping the trace through a ``multiprocessing`` pipe would
 pickle megabytes per hand-off, so instead the tracing worker publishes
 the event arrays once into a named ``multiprocessing.shared_memory``
 segment and every later consumer (the replacement worker, and the
-parent when it rehydrates the finished job) maps the same pages.
+parent when it rehydrates the finished job) maps the same pages.  The
+supervisor picks each segment's name (:func:`segment_name`) and sends it
+with the job, so it can unlink a segment whose creator died unheard.
 
 Segment layout (little-endian)::
 
@@ -27,7 +29,8 @@ drift depending on which transport carried the trace.
 
 Every attach verifies magic, version, bounds, and the CRC32 stamp;
 torn or corrupted segments raise :class:`~repro.common.errors.ShmError`
-and the caller falls back to the ``.npz`` spill file written alongside.
+and the caller re-traces the workload instead (tracing is
+deterministic; the pool checks the re-traced digest).
 All reads copy out of the mapping (``bytes`` slices) before ``close``,
 so no exported buffer can outlive the segment.
 """
@@ -40,6 +43,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from multiprocessing import shared_memory
+from typing import Optional
 
 import numpy as np
 
@@ -62,8 +66,14 @@ class ShmTraceRef:
     size: int
 
 
-def publish_trace(trace: Trace, prefix: str = "repro") -> ShmTraceRef:
-    """Copy ``trace`` into a fresh named segment; returns its handle.
+def segment_name() -> str:
+    """A fresh random segment name, ``repro_<12 hex digits>``."""
+    return f"repro_{secrets.token_hex(6)}"
+
+
+def publish_trace(trace: Trace, name: Optional[str] = None) -> ShmTraceRef:
+    """Copy ``trace`` into a new segment called ``name`` (default: a
+    fresh :func:`segment_name`); returns its handle.
 
     The rows come from the trace's :meth:`Trace.columnar` memo, the
     conversion the simulation kernel reuses afterwards.  The segment is
@@ -88,18 +98,13 @@ def publish_trace(trace: Trace, prefix: str = "repro") -> ShmTraceRef:
     for chunk in chunks:
         crc = zlib.crc32(chunk, crc)
     size = HEADER_SIZE + len(meta) + payload_len
-    segment = None
-    for _ in range(16):
-        name = f"{prefix}_{secrets.token_hex(6)}"
-        try:
-            segment = shared_memory.SharedMemory(
-                name=name, create=True, size=size
-            )
-            break
-        except FileExistsError:
-            continue
-    if segment is None:  # pragma: no cover - 16 collisions in a row
-        raise ShmError("could not allocate a unique shm segment name")
+    name = name or segment_name()
+    try:
+        segment = shared_memory.SharedMemory(
+            name=name, create=True, size=size
+        )
+    except FileExistsError as error:
+        raise ShmError(f"shm segment {name!r} already exists") from error
     try:
         buf = segment.buf
         _HEADER.pack_into(
@@ -122,7 +127,7 @@ def attach_trace(ref: ShmTraceRef) -> Trace:
 
     Raises :class:`ShmError` when the segment is missing or its
     contents fail the magic/version/bounds/CRC checks — the caller is
-    expected to fall back to the npz spill file.
+    expected to re-trace instead.
     """
     try:
         segment = shared_memory.SharedMemory(name=ref.name)
@@ -204,7 +209,7 @@ def corrupt_segment(name: str, rng, nbytes: int = 8) -> bool:
     """Chaos hook: flip ``nbytes`` payload bytes of a live segment.
 
     Flips bits strictly after the header so the next attach parses far
-    enough to fail the CRC check (the fallback path under test) rather
+    enough to fail the CRC check (the re-trace path under test) rather
     than dying on the magic.  Returns False when the segment is gone or
     too small to corrupt.
     """

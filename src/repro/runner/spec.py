@@ -46,9 +46,12 @@ class RunnerConfig:
     jobs:
         Worker process count; None means ``os.cpu_count()``.
     parallel:
-        When False, every job runs in-process (the ``--no-parallel``
-        escape hatch).  Results are bit-identical either way — the
-        scheduler is deterministic per job.
+        When True (and more than one job and worker), jobs run on the
+        heartbeat-supervised shared-memory worker pool
+        (:mod:`repro.runner.pool`); when False, every job runs
+        in-process (the ``--no-parallel`` escape hatch).  Results are
+        bit-identical either way — the scheduler is deterministic per
+        job.
     cache_dir:
         Root of the persistent result cache; None disables the disk
         cache entirely (simulations always run).
@@ -93,12 +96,6 @@ class RunnerConfig:
         by contract, so the choice never participates in cache identity
         or spec keys — flipping it can neither churn nor poison the
         cache.
-    pool:
-        Parallel execution tier: ``"supervised"`` (default) uses the
-        heartbeat-supervised shared-memory worker pool
-        (:mod:`repro.runner.pool`); ``"executor"`` keeps the legacy
-        bare ``ProcessPoolExecutor`` fan-out.  Results are
-        bit-identical either way.
     heartbeat_interval_s / heartbeat_timeout_s:
         Supervised-pool liveness protocol: workers beat every
         ``heartbeat_interval_s``; a worker silent for longer than
@@ -106,9 +103,10 @@ class RunnerConfig:
         re-dispatched (``repro run --heartbeat-timeout``).
     max_pool_restarts:
         Budget of replacement workers the supervisor may spawn after
-        deaths; once spent and no worker survives, the circuit breaker
-        degrades the grid to serial in-process execution
-        (``repro run --max-pool-restarts``).
+        crashes and hangs (a worker killed for a job timeout is
+        replaced without charge); once spent and no worker survives,
+        the circuit breaker degrades the grid to serial in-process
+        execution (``repro run --max-pool-restarts``).
     chaos:
         Optional :class:`~repro.chaos.plan.ChaosPlan` of deliberate
         infrastructure faults (worker kills, heartbeat stalls, shm and
@@ -147,7 +145,6 @@ class RunnerConfig:
     log_level: Optional[str] = None
     log_json: bool = False
     engine: Optional[str] = None
-    pool: str = "supervised"
     heartbeat_interval_s: float = 1.0
     heartbeat_timeout_s: float = 30.0
     max_pool_restarts: int = 3
@@ -156,11 +153,6 @@ class RunnerConfig:
     progress_buffer_frames: int = 32
 
     def __post_init__(self) -> None:
-        if self.pool not in ("supervised", "executor"):
-            raise ConfigError(
-                f"pool must be 'supervised' or 'executor', got "
-                f"{self.pool!r}"
-            )
         if self.heartbeat_interval_s <= 0:
             raise ConfigError("heartbeat_interval_s must be > 0")
         if self.heartbeat_timeout_s <= self.heartbeat_interval_s:
@@ -361,17 +353,18 @@ class RunnerReport:
     wall_seconds: float = 0.0
     parallel: bool = False
     worker_count: int = 1
-    #: True when the process pool broke and jobs were re-run in-process.
+    #: True when the pool's circuit opened and jobs were re-run
+    #: in-process.
     fell_back: bool = False
     #: Structured outcomes for every job that produced no results.
     failures: list[JobFailure] = field(default_factory=list)
-    #: Pool restarts: replacement workers spawned by the supervised
-    #: pool, or (legacy executor) broken-pool fallbacks to in-process.
+    #: Replacement workers the supervised pool spawned after crashes
+    #: and hangs.
     pool_restarts: int = 0
     #: Workers that crashed or were killed for missed heartbeats.
     worker_crashes: int = 0
-    #: Shared-memory trace attaches that failed verification and fell
-    #: back to the npz spill file.
+    #: Shared-memory trace attaches that failed (missing segment or
+    #: failed verification) and were recovered by re-tracing.
     shm_attach_failures: int = 0
 
     @property

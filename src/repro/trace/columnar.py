@@ -421,7 +421,7 @@ def as_columnar(trace) -> ColumnarTrace:
 
     For tuple-form traces this goes through :meth:`Trace.columnar`, so
     the conversion cost is paid once per trace object no matter how
-    many passes, simulations, spills or publishes consume it.
+    many passes, simulations, saves or publishes consume it.
     """
     if isinstance(trace, ColumnarTrace):
         return trace

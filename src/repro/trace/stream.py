@@ -137,8 +137,9 @@ class Trace:
         one tuple-to-row encoder, and then shared by every consumer of
         the trace: the C simulation kernel (all modes), the analysis
         :class:`~repro.analysis.passes.PassManager` (strict pre-flight),
-        :func:`~repro.trace.io.save_trace` (the pool's npz spill) and
-        :func:`~repro.runner.shm.publish_trace`.
+        :func:`~repro.trace.io.save_trace` and
+        :func:`~repro.runner.shm.publish_trace` (the pool's trace
+        hand-off).
         :func:`~repro.trace.io.trace_digest` deliberately does not build
         it, so a trace that is only digested (a warm-cache hit) carries
         no columnar copy.

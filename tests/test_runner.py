@@ -11,13 +11,14 @@ cache verification with quarantine.
 
 import dataclasses
 import json
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
+import logging
 
 import pytest
 
 import repro.runner.engine as engine_module
-from repro.common.errors import RunnerError, SimulationError
+import repro.runner.pool as pool_module
+from repro.chaos import ChaosPlan
+from repro.common.errors import RunnerError, ShmError, SimulationError
 from repro.core.api import EvaluationReport, GraphPimSystem
 from repro.runner import (
     CheckpointJournal,
@@ -26,14 +27,17 @@ from repro.runner import (
     ResultCache,
     RunnerConfig,
     config_fingerprint,
+    evaluation_grid_specs,
     execute_spec,
     result_key,
     run_evaluation_grid,
     spec_key,
     trace_digest,
 )
+from repro.runner.pool import load_run
+from repro.runner.shm import publish_trace, unlink_segment
 from repro.sim.config import SystemConfig
-from repro.sim.system import SimResult, simulate
+from repro.sim.system import SimResult
 from repro.workloads import get_workload
 
 TRIO = tuple(SystemConfig().evaluation_trio())
@@ -247,38 +251,32 @@ class TestRunnerExecution:
         with pytest.raises(RunnerError, match="NOPE"):
             ExperimentRunner(config).run([bad])
 
-    def test_broken_pool_falls_back_inline(self, monkeypatch):
-        class _BrokenFuture:
-            def result(self):
-                raise BrokenProcessPool("worker died")
-
-        class _BrokenPool:
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def submit(self, fn, *args):
-                return _BrokenFuture()
-
-        monkeypatch.setattr(
-            engine_module, "_make_executor", lambda workers: _BrokenPool()
-        )
-        specs = [_spec("DC"), _spec("kCore")]
-        config = RunnerConfig(
-            jobs=2, parallel=True, cache_dir=None, pool="executor"
-        )
-        outcomes, report = ExperimentRunner(config).run(specs)
+    def test_broken_pool_falls_back_inline(self):
+        # BFS kills every worker that runs it and no replacement may be
+        # spawned, so the circuit opens with work left: those jobs run
+        # in-process and must produce the serial bits.
+        specs = [_spec("BFS"), _spec("DC"), _spec("kCore")]
+        outcomes, report = ExperimentRunner(_pool_config(
+            max_pool_restarts=0,
+            allow_partial=True,
+            chaos=ChaosPlan(poison_workload="BFS", seed=7),
+        )).run(specs)
         assert report.fell_back
-        assert report.pool_restarts == 1
-        assert "1 restart(s)" in report.summary_line()
-        assert len(outcomes) == len(specs)
-        assert all(job.status == "done" for job in report.jobs)
-        assert all(job.executor == "fallback" for job in report.jobs)
-        # Fallback results are the same bits the workers would have made.
-        direct = simulate(outcomes[0].run.trace, TRIO[2])
-        assert outcomes[0].results["GraphPIM"].to_dict() == direct.to_dict()
+        assert "pool broke" in report.summary()
+        assert [(f.job_id, f.kind) for f in report.failures] == [
+            ("BFS@tiny", "poisoned")
+        ]
+        fallback = [job for job in report.jobs if job.executor == "fallback"]
+        assert fallback
+        assert all(job.status == "done" for job in fallback)
+        serial_cfg = RunnerConfig(parallel=False, cache_dir=None)
+        for outcome in outcomes:
+            direct = execute_spec(outcome.spec, serial_cfg)
+            for label, result in outcome.results.items():
+                assert (
+                    result.to_dict()
+                    == direct["modes"][label]["payload"]
+                )
 
     def test_report_counters(self, tmp_path):
         config = RunnerConfig(
@@ -315,121 +313,111 @@ class TestRunnerExecution:
 # ----------------------------------------------------------------------
 
 
-class _TimeoutFuture:
-    """A pool future whose job never finishes within its deadline."""
-
-    def result(self, timeout=None):
-        raise FuturesTimeoutError()
-
-    def cancel(self):
-        return False
-
-
-class _EagerFuture:
-    """A pool future that runs the job synchronously at collection."""
-
-    def __init__(self, spec, config):
-        self._spec, self._config = spec, config
-
-    def result(self, timeout=None):
-        return execute_spec(self._spec, self._config)
-
-    def cancel(self):
-        return False
+def _pool_config(**kwargs):
+    """Two supervised workers, no cache, fast heartbeats."""
+    base = dict(
+        jobs=2,
+        parallel=True,
+        cache_dir=None,
+        heartbeat_interval_s=0.05,
+        heartbeat_timeout_s=30.0,
+    )
+    return RunnerConfig(**{**base, **kwargs})
 
 
-class _FakeExecutor:
-    """Times out the first ``flaky_attempts`` submissions of each spec."""
+def _retry_delays(caplog):
+    """``{(job_index, attempt): backoff_seconds}`` of the pool's retries."""
+    return {
+        (record.job_index, record.attempt): record.backoff_seconds
+        for record in caplog.records
+        if getattr(record, "event", "") == "job_retry"
+    }
 
-    def __init__(self, flaky_attempts):
-        self.flaky_attempts = flaky_attempts
-        self.submissions = {}
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-    def submit(self, fn, spec, config):
-        n = self.submissions[spec.job_id] = (
-            self.submissions.get(spec.job_id, 0) + 1
-        )
-        if n <= self.flaky_attempts:
-            return _TimeoutFuture()
-        return _EagerFuture(spec, config)
+#: Jobs that take a good fraction of a second even on a fast host; a
+#: 10 ms deadline kills every attempt long before they could finish, so
+#: grids of them exercise the retry bookkeeping, not the simulation.
+SLOW_SPECS = [
+    ExperimentSpec.for_workload(code, "small", modes=TRIO)
+    for code in ("DC", "BFS")
+]
 
 
 class TestRunnerResilience:
-    def _runner(self, monkeypatch, flaky_attempts, **config_kwargs):
-        executor = _FakeExecutor(flaky_attempts)
-        monkeypatch.setattr(
-            engine_module, "_make_executor", lambda workers: executor
-        )
-        sleeps = []
-        config = RunnerConfig(
-            jobs=2,
-            parallel=True,
-            cache_dir=None,
-            job_timeout_s=0.01,
-            backoff_base_s=0.5,
-            backoff_factor=2.0,
-            pool="executor",
-            **config_kwargs,
-        )
-        runner = ExperimentRunner(config, sleep=sleeps.append)
-        return runner, sleeps
+    """Timeouts, retries and backoff on the supervised pool."""
 
-    def test_timeout_exhaustion_records_structured_failure(
-        self, monkeypatch
-    ):
-        runner, sleeps = self._runner(
-            monkeypatch, flaky_attempts=99, job_retries=2,
+    def test_timeout_exhaustion_records_structured_failure(self):
+        # The default restart budget (3) must not cut the retries
+        # short: timeout kills are replaced without spending it.
+        config = _pool_config(
+            job_timeout_s=0.01, job_retries=2, backoff_base_s=0.01,
             allow_partial=True,
         )
-        specs = [_spec("DC"), _spec("kCore")]
-        outcomes, report = runner.run(specs)
+        outcomes, report = ExperimentRunner(config).run(SLOW_SPECS)
         assert outcomes == []
         assert len(report.failures) == 2
         assert all(f.kind == "timeout" for f in report.failures)
         assert all(f.attempts == 3 for f in report.failures)
         assert all(job.status == "failed" for job in report.jobs)
-        # Full-jitter exponential backoff between attempts, per job:
-        # each delay is uniform in [0, base * factor**(n-1)].
-        assert len(sleeps) == 4
-        caps = [0.5, 1.0, 0.5, 1.0]
-        assert all(0.0 <= s <= c for s, c in zip(sleeps, caps))
-        # Jitter is seeded from the spec key, so a rerun of the same
-        # grid draws the same delays (reproducible retry schedules).
-        rerun, rerun_sleeps = self._runner(
-            monkeypatch, flaky_attempts=99, job_retries=2,
-            allow_partial=True,
-        )
-        rerun.run(specs)
-        assert rerun_sleeps == sleeps
+        assert not report.fell_back
+        assert report.worker_crashes == 0
+        assert report.pool_restarts == 0
         as_json = json.loads(json.dumps(report.to_dict()))
         assert as_json["failures"][0]["kind"] == "timeout"
         assert "FAILED" in report.summary()
 
-    def test_timeout_then_retry_succeeds(self, monkeypatch):
-        runner, sleeps = self._runner(
-            monkeypatch, flaky_attempts=1, job_retries=2
+    def test_timeout_without_allow_partial_raises(self):
+        config = _pool_config(job_timeout_s=0.01, job_retries=0)
+        with pytest.raises(RunnerError, match=r"\[timeout\]"):
+            ExperimentRunner(config).run(SLOW_SPECS)
+
+    def test_retry_backoff_is_full_jitter_and_seeded(self, caplog):
+        config = _pool_config(
+            job_timeout_s=0.01, job_retries=2, backoff_base_s=0.2,
+            backoff_factor=2.0, allow_partial=True,
         )
-        specs = [_spec("DC"), _spec("kCore")]
-        outcomes, report = runner.run(specs)
-        assert len(outcomes) == 2
+        runs = []
+        for _ in range(2):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="repro.runner.pool"):
+                ExperimentRunner(config).run(SLOW_SPECS)
+            runs.append(_retry_delays(caplog))
+        delays = runs[0]
+        # Two retries per job; the n-th retry (attempt n + 1) waits a
+        # uniform draw from [0, base * factor**(n - 1)].
+        assert sorted(delays) == [(0, 2), (0, 3), (1, 2), (1, 3)]
+        for (_index, attempt), delay in delays.items():
+            assert 0.0 <= delay <= 0.2 * 2.0 ** (attempt - 2)
+        # Jitter is seeded from the spec key, so a rerun of the same
+        # grid draws the same delays (reproducible retry schedules).
+        assert runs[1] == delays
+
+    def test_timeout_then_retry_succeeds(self):
+        # Worker 0 goes silent on its first job; the deadline (not the
+        # far longer heartbeat timeout) kills it, and the retry runs on
+        # a healthy worker.  The full grid guarantees worker 0 a job.
+        specs = evaluation_grid_specs("tiny")
+        config = _pool_config(
+            job_timeout_s=3.0, job_retries=1, backoff_base_s=0.01,
+            heartbeat_timeout_s=120.0,
+            chaos=ChaosPlan(stall_worker=0, stall_seconds=300.0, seed=7),
+        )
+        outcomes, report = ExperimentRunner(config).run(specs)
         assert report.failures == []
         assert all(job.status == "done" for job in report.jobs)
-        assert all(job.attempts == 2 for job in report.jobs)
-        assert len(sleeps) == 2
-        assert all(0.0 <= s <= 0.5 for s in sleeps)
-
-    def test_timeout_without_allow_partial_raises(self, monkeypatch):
-        runner, _sleeps = self._runner(
-            monkeypatch, flaky_attempts=99, job_retries=0
+        assert report.worker_crashes == 0
+        assert sorted(job.attempts for job in report.jobs) == (
+            [1] * (len(specs) - 1) + [2]
         )
-        with pytest.raises(RunnerError, match=r"\[timeout\]"):
-            runner.run([_spec("DC"), _spec("kCore")])
+        (retried,) = [
+            outcome for outcome, job in zip(outcomes, report.jobs)
+            if job.attempts == 2
+        ]
+        direct = execute_spec(
+            retried.spec, RunnerConfig(parallel=False, cache_dir=None)
+        )
+        for label, result in retried.results.items():
+            assert result.to_dict() == direct["modes"][label]["payload"]
 
     def test_crash_mid_grid_degrades_to_partial_report(self, monkeypatch):
         real = engine_module.execute_spec
@@ -501,6 +489,74 @@ class TestRunnerResilience:
         assert spec_key(clean) == spec_key(clean)
         assert spec_key(clean) != spec_key(faulty)
         assert spec_key(clean) != spec_key(clean, salt="other")
+
+
+class TestTraceRecovery:
+    """``pool.load_run``: attach the published segment or re-trace."""
+
+    CONFIG = RunnerConfig(parallel=False, cache_dir=None)
+
+    def _published(self, spec):
+        run, trace_hash = engine_module.trace_spec(spec, self.CONFIG)
+        return run, {
+            "shm": publish_trace(run.trace),
+            "trace_hash": trace_hash,
+            "run_core": {
+                "workload": run.workload,
+                "address_space": run.address_space,
+                "outputs": run.outputs,
+            },
+        }
+
+    def test_attach_then_retrace_after_unlink(self):
+        spec = _spec("kCore")
+        run, published = self._published(spec)
+        try:
+            attached, failures = load_run(0, spec, self.CONFIG, published)
+        finally:
+            unlink_segment(published["shm"].name)
+        assert failures == 0
+        assert trace_digest(attached.trace) == published["trace_hash"]
+        assert attached.outputs == run.outputs
+        # The segment is gone now: recovery re-traces and counts the
+        # failed attach.
+        retraced, failures = load_run(0, spec, self.CONFIG, published)
+        assert failures == 1
+        assert trace_digest(retraced.trace) == published["trace_hash"]
+
+    def test_retrace_digest_mismatch_raises(self):
+        with pytest.raises(ShmError, match="re-traced"):
+            load_run(
+                0, _spec("kCore"), self.CONFIG, {"trace_hash": "0" * 64}
+            )
+
+    def test_failed_publish_is_recovered_by_retrace(self, monkeypatch):
+        # Every dispatch is assigned a name longer than the OS allows,
+        # so no worker can publish (OSError); the supervisor re-traces
+        # each finished job instead.
+        monkeypatch.setattr(
+            pool_module, "segment_name", lambda: "repro_" + "x" * 300
+        )
+        retraced = []
+        real = engine_module.trace_spec
+
+        def counting(spec, config):
+            retraced.append(spec.workload)
+            return real(spec, config)
+
+        monkeypatch.setattr(engine_module, "trace_spec", counting)
+        specs = [_spec("DC"), _spec("kCore")]
+        outcomes, report = ExperimentRunner(_pool_config()).run(specs)
+        assert sorted(retraced) == ["DC", "kCore"]
+        assert report.failures == []
+        assert report.shm_attach_failures == 0
+        for outcome in outcomes:
+            direct = execute_spec(outcome.spec, self.CONFIG)
+            assert outcome.trace_hash == direct["trace_hash"]
+            for label, result in outcome.results.items():
+                assert (
+                    result.to_dict() == direct["modes"][label]["payload"]
+                )
 
 
 class TestCheckpointJournal:

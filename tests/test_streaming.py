@@ -242,7 +242,6 @@ class TestRunnerStreaming:
         config = RunnerConfig(
             jobs=2,
             parallel=True,
-            pool="supervised",
             cache_dir=None,
             progress_interval_events=100,
         )
