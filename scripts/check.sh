@@ -70,6 +70,24 @@ step "pytest (repository benchmark self-tests)"
 # the measurement and comparison library the benchmark relies on.
 run_or_fail python -m pytest -q perfbench
 
+step "repository benchmark (traced replay smoke)"
+# The traced replay drives the program's public trace, shm, analysis and
+# simulation functions by name; a rename or a broken layer there must
+# fail CI, not the next benchmark run.  The last output line is JSON.
+if python3 perfbench/run.py --workload fig7-strict-pool --seed 1 \
+    --seconds 3 --trace 1 | tail -n 1 | python -c '
+import json, sys
+result = json.load(sys.stdin)
+assert result["correct"] is True, result
+failed = result["failed"]
+print(f"traced replay: correct, {failed} failed")
+'; then
+    echo "traced replay smoke passed"
+else
+    echo "traced replay smoke FAILED"
+    failures=$((failures + 1))
+fi
+
 step "repro lint (config presets)"
 for preset in baseline upei graphpim; do
     run_or_fail python -m repro lint "$preset"
@@ -224,9 +242,18 @@ tmp_root="${TMPDIR:-/tmp}"
 pool_dirs_before="$(find "$tmp_root" -maxdepth 1 -name 'repro-pool-*' | wc -l)"
 run_or_fail python -m repro run --scale tiny --no-parallel --no-cache \
     --json > "$chaos_dir/serial.json"
+# The supervisor names each segment repro_<its pid>_..., so the leak
+# check below looks only at these runs' segments, not at pools other
+# processes on the host may be running.
+chaos_pids=""
 for plan in "kill=0:0,seed=7" "kill=0:0:trace,seed=7" "shm=1,seed=7"; do
-    run_or_fail python -m repro run --scale tiny --jobs 2 --no-cache \
-        --chaos "$plan" --json > "$chaos_dir/chaos.json"
+    python -m repro run --scale tiny --jobs 2 --no-cache \
+        --chaos "$plan" --json > "$chaos_dir/chaos.json" &
+    chaos_pid=$!
+    chaos_pids="$chaos_pids $chaos_pid"
+    if ! wait "$chaos_pid"; then
+        failures=$((failures + 1))
+    fi
     if python -c '
 import json, sys
 serial = json.load(open(sys.argv[1]))
@@ -254,13 +281,15 @@ print(f"chaos {plan}: {len(a)} workload(s) byte-identical, "
     fi
 done
 if [ -d /dev/shm ]; then
-    leftover="$(find /dev/shm -maxdepth 1 -name 'repro_*' | wc -l)"
-    if [ "$leftover" -ne 0 ]; then
-        echo "chaos smoke FAILED: $leftover leaked /dev/shm segment(s)"
-        find /dev/shm -maxdepth 1 -name 'repro_*'
+    leaked="$(for chaos_pid in $chaos_pids; do
+        find /dev/shm -maxdepth 1 -name "repro_${chaos_pid}_*"
+    done)"
+    if [ -n "$leaked" ]; then
+        echo "chaos smoke FAILED: leaked /dev/shm segment(s):"
+        echo "$leaked"
         failures=$((failures + 1))
     else
-        echo "shm leak check passed (no repro_* segments left)"
+        echo "shm leak check passed (no repro_<pid>_* segments left)"
     fi
 fi
 pool_dirs_after="$(find "$tmp_root" -maxdepth 1 -name 'repro-pool-*' | wc -l)"

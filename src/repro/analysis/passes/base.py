@@ -60,9 +60,10 @@ def default_engine() -> str:
 class PassContext:
     """Everything a pass may consume.
 
-    ``columnar`` is None when the tuple trace is not columnar-encodable;
-    ``trace`` is materialized lazily from the columnar form when a
-    legacy fallback needs it.
+    ``columnar`` is None when a trace's hand-built tuples are not
+    columnar-encodable; ``trace`` is built lazily over the columnar
+    rows when a legacy fallback needs it (its tuples are decoded only
+    when that oracle reads them).
     """
 
     config: SystemConfig
@@ -73,7 +74,7 @@ class PassContext:
     screen_configs: Sequence[SystemConfig] = ()
 
     def require_trace(self) -> "Trace":
-        """Tuple-form trace, decoding from columnar on first use."""
+        """The :class:`Trace`, rebuilt from the columnar rows on first use."""
         if self.trace is None:
             if self.columnar is None:
                 raise ConfigError("pass context has no trace")
@@ -164,7 +165,9 @@ class PassManager:
     ) -> dict[str, PassResult]:
         """Run every pass; returns ``{pass name: PassResult}``.
 
-        ``trace`` may be a tuple-form ``Trace`` or a ``ColumnarTrace``.
+        ``trace`` may be a ``Trace`` or a ``ColumnarTrace``; a ``Trace``
+        is read through its :meth:`~repro.trace.stream.Trace.columnar`
+        memo.
         """
         selection = resolve_engine(engine)
         wants_vectorized = selection.wants_vectorized
@@ -181,9 +184,9 @@ class PassManager:
                 try:
                     ctx.columnar = as_columnar(trace)
                 except TraceError:
-                    # Deliberately malformed tuples (wrong arity, bad
-                    # kinds) are exactly what the legacy linter reports;
-                    # every pass falls back for this trace.
+                    # Deliberately malformed hand-built tuples (wrong
+                    # arity, bad kinds) are exactly what the legacy
+                    # linter reports; every pass falls back for them.
                     ctx.columnar = None
 
         results: dict[str, PassResult] = {}

@@ -28,7 +28,9 @@ failure taxonomy:
 - **timeout** — a job exceeds ``job_timeout_s``.  The worker is killed
   and the job retried with full-jitter exponential backoff up to
   ``job_retries``, then recorded as a structured timeout failure.  A
-  timeout kill does not spend the restart budget below.
+  timeout kill does not spend the restart budget below.  A job that
+  reports done with worker-measured seconds past the deadline (an
+  overrun shorter than one supervisor tick) takes the same retry path.
 - **poisoned spec** — the same job kills two workers.  It is
   quarantined as ``JobFailure(kind="poisoned")`` instead of grinding
   the pool down forever.
@@ -653,6 +655,13 @@ class SupervisedWorkerPool:
             if job is None or job.index != index:
                 return
             worker.job = None
+            timeout = self.config.job_timeout_s
+            if timeout is not None and lite["seconds"] > timeout:
+                # Overran its deadline inside one supervisor tick: the
+                # health check never saw it running, but it is late all
+                # the same.  The worker itself is idle and healthy.
+                self._timeout_job(job, time.monotonic())
+                return
             self._finish_job(job, lite)
         elif kind == _MSG_ERR:
             _, index, failure_kind, text = message

@@ -22,22 +22,25 @@ Segment layout (little-endian)::
     32+m    -     payload: per-thread (rows, 6) int64 C-order matrices,
                   concatenated in meta order
 
-The payload encoding is byte-for-byte the matrix form ``save_trace``
-writes and :func:`~repro.trace.io.trace_digest` hashes, so a trace
-rebuilt from shared memory has the same digest — cache keys cannot
-drift depending on which transport carried the trace.
+The payload is byte-for-byte the rows each thread was captured in,
+which ``save_trace`` writes and :func:`~repro.trace.io.trace_digest`
+hashes, so a trace rebuilt from shared memory has the same digest —
+cache keys cannot drift depending on which transport carried the trace.
+Attaching builds row-backed threads over one copy of the payload; no
+event tuple is decoded.
 
 Every attach verifies magic, version, bounds, and the CRC32 stamp;
 torn or corrupted segments raise :class:`~repro.common.errors.ShmError`
 and the caller re-traces the workload instead (tracing is
 deterministic; the pool checks the re-traced digest).
-All reads copy out of the mapping (``bytes`` slices) before ``close``,
-so no exported buffer can outlive the segment.
+All reads copy out of the mapping (one ``bytes`` slice) before
+``close``, so no exported buffer can outlive the segment.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import secrets
 import struct
 import zlib
@@ -48,8 +51,8 @@ from typing import Optional
 import numpy as np
 
 from repro.common.errors import ShmError
-from repro.trace.io import _thread_matrices, decode_thread_matrix
-from repro.trace.stream import Trace
+from repro.trace.io import _thread_matrices
+from repro.trace.stream import ThreadTrace, Trace
 
 MAGIC = b"RPRSHM01"
 FORMAT_VERSION = 1
@@ -67,22 +70,26 @@ class ShmTraceRef:
 
 
 def segment_name() -> str:
-    """A fresh random segment name, ``repro_<12 hex digits>``."""
-    return f"repro_{secrets.token_hex(6)}"
+    """A fresh random segment name, ``repro_<pid>_<12 hex digits>``.
+
+    The pid is the creating process's (the pool supervisor draws every
+    name its workers use), so a leak check can look at one run's
+    segments without seeing another process's.
+    """
+    return f"repro_{os.getpid()}_{secrets.token_hex(6)}"
 
 
 def publish_trace(trace: Trace, name: Optional[str] = None) -> ShmTraceRef:
     """Copy ``trace`` into a new segment called ``name`` (default: a
     fresh :func:`segment_name`); returns its handle.
 
-    The rows come from the trace's :meth:`Trace.columnar` memo, the
-    conversion the simulation kernel reuses afterwards.  The segment is
-    left linked (the caller owns unlinking); the local mapping is closed
-    before returning so the publishing process holds no buffer
-    references.
+    The payload is each thread's captured rows, copied as they are.
+    The segment is left linked (the caller owns unlinking); the local
+    mapping is closed before returning so the publishing process holds
+    no buffer references.
     """
     pairs = _thread_matrices(trace)
-    chunks = [matrix.tobytes() for _, matrix in pairs]
+    chunks = [matrix.reshape(-1).view(np.uint8) for _, matrix in pairs]
     meta = json.dumps(
         {
             "name": trace.name,
@@ -93,7 +100,7 @@ def publish_trace(trace: Trace, name: Optional[str] = None) -> ShmTraceRef:
         },
         separators=(",", ":"),
     ).encode("utf-8")
-    payload_len = sum(len(chunk) for chunk in chunks)
+    payload_len = sum(chunk.nbytes for chunk in chunks)
     crc = zlib.crc32(meta)
     for chunk in chunks:
         crc = zlib.crc32(chunk, crc)
@@ -114,8 +121,8 @@ def publish_trace(trace: Trace, name: Optional[str] = None) -> ShmTraceRef:
         buf[offset : offset + len(meta)] = meta
         offset += len(meta)
         for chunk in chunks:
-            buf[offset : offset + len(chunk)] = chunk
-            offset += len(chunk)
+            buf[offset : offset + chunk.nbytes] = chunk
+            offset += chunk.nbytes
         del buf
     finally:
         segment.close()
@@ -124,6 +131,9 @@ def publish_trace(trace: Trace, name: Optional[str] = None) -> ShmTraceRef:
 
 def attach_trace(ref: ShmTraceRef) -> Trace:
     """Rebuild a :class:`Trace` from a published segment.
+
+    The threads are row-backed views of one copy of the payload, so
+    the parent's rehydration of a finished job decodes nothing.
 
     Raises :class:`ShmError` when the segment is missing or its
     contents fail the magic/version/bounds/CRC checks — the caller is
@@ -177,7 +187,7 @@ def attach_trace(ref: ShmTraceRef) -> Trace:
                 body, dtype=np.int64, count=int(rows) * 6, offset=offset
             ).reshape(int(rows), 6)
             offset += nbytes
-            threads.append(decode_thread_matrix(int(tid), matrix))
+            threads.append(ThreadTrace.from_rows(int(tid), matrix))
         if offset != meta_len + payload_len:
             raise ShmError(
                 f"shm segment {ref.name!r} payload length mismatch"

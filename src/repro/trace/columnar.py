@@ -4,30 +4,34 @@
 ``int64`` numpy columns — ``kind``, ``addr``, ``size``, ``gap``, ``op``,
 ``ret`` — laid out thread-major (all of thread 0's events, then all of
 thread 1's, ...), with a ``starts`` offset array delimiting the
-per-thread segments.  Each event becomes one row of the canonical
-(N, 6) encoding that the ``.npz`` trace format (:mod:`repro.trace.io`),
-the shared-memory transport (:mod:`repro.runner.shm`) and
+per-thread segments.  Each event is one row of the canonical (N, 6)
+encoding, the layout :class:`~repro.trace.stream.ThreadTrace` captures
+in and that the ``.npz`` trace format (:mod:`repro.trace.io`), the
+shared-memory transport (:mod:`repro.runner.shm`) and
 :func:`~repro.trace.io.trace_digest` all use::
 
     load/store : (kind, addr,       size, gap, -1, 0)
     atomic     : (kind, addr,       size, gap, op, with_return)
     barrier    : (kind, 0,    barrier_id,  gap, -1, 0)
 
+A captured trace already holds these rows, so its columnar form is one
+concatenation: the memoized :meth:`Trace.columnar()
+<repro.trace.stream.Trace.columnar>` (reached through
+:func:`as_columnar`) that the C simulation kernel and the vectorized
+analysis passes read.  Its arrays are read-only: the memo is shared,
+and a consumer that tries to write into it raises instead of
+corrupting every later reader.
+
 :func:`encode_events` is the one function that turns event tuples into
-those rows.  Converting between the tuple form and the columnar form is
-lossless (``to_events(from_events(t)) == t`` for every encodable
-trace), so the content digest — and with it every ``.repro_cache/``
-result key and service spec_key — is the same for either form.
+rows; it serves only threads built from hand-written tuples
+(:meth:`ThreadTrace.from_events
+<repro.trace.stream.ThreadTrace.from_events>`).  Converting between the
+tuple view and the rows is lossless, so the content digest — and with
+it every ``.repro_cache/`` result key and service spec_key — is the
+same for every form.
 
-The memoized :meth:`Trace.columnar() <repro.trace.stream.Trace.columnar>`
-(reached through :func:`as_columnar`) is what the C simulation kernel,
-the vectorized analysis passes, ``save_trace`` and ``publish_trace``
-read, so a tuple trace is encoded once for all of them.  Its arrays are
-read-only: the memo is shared, and a consumer that tries to write into
-it raises instead of corrupting every later reader.
-
-Encodability: an event is columnar-encodable when it has a known kind,
-the exact arity for that kind, and integer fields (anything
+Encodability: an event tuple is columnar-encodable when it has a known
+kind, the exact arity for that kind, and integer fields (anything
 :func:`operator.index` accepts) that fit in int64.  Traces carrying
 malformed tuples raise :class:`~repro.common.errors.TraceError` naming
 the first bad event; analysis callers fall back to the per-event
@@ -169,6 +173,14 @@ def _raise_first_bad(events: Sequence[tuple], thread_id: int) -> NoReturn:
                     "(not columnar-encodable)"
                 )
     raise TraceError(f"thread {thread_id}: not columnar-encodable")
+
+
+def check_kinds(kinds: np.ndarray) -> None:
+    """Raise :class:`TraceError` on an event kind outside the layout."""
+    unknown = (kinds < 0) | (kinds >= _ARITY.size)
+    if unknown.any():
+        bad = kinds[unknown][0]
+        raise TraceError(f"unknown event kind {int(bad)} in trace file")
 
 
 @dataclass
@@ -327,28 +339,26 @@ class ColumnarTrace:
 
     @classmethod
     def from_events(cls, trace: "Trace") -> "ColumnarTrace":
-        """Lossless conversion from the per-event tuple form.
+        """A fresh (unmemoized) columnar copy of a :class:`Trace`.
 
-        Raises :class:`TraceError` when any event is not
-        columnar-encodable (unknown kind, wrong arity, non-integer or
-        out-of-range field); callers needing to analyze such traces use
-        the per-event path instead.
+        Concatenates the threads' rows; only hand-built tuple threads
+        go through :func:`encode_events`, which raises
+        :class:`TraceError` when an event is not columnar-encodable.
+        Production readers use the memoized :meth:`Trace.columnar`.
         """
         return cls.from_thread_matrices(
             trace.name,
             [thread.thread_id for thread in trace.threads],
-            [
-                encode_events(thread.events, thread.thread_id)
-                for thread in trace.threads
-            ],
+            [thread.rows() for thread in trace.threads],
         )
 
     def thread_matrix(self, pos: int) -> np.ndarray:
         """One thread's events as the canonical (N, 6) int64 matrix.
 
-        Byte-identical to what :func:`repro.trace.io.save_trace` writes
-        and :func:`repro.trace.io.trace_digest` hashes for the tuple
-        form, which is what keeps digests representation-independent.
+        Byte-identical to the rows the thread was captured in, which
+        :func:`repro.trace.io.save_trace` writes and
+        :func:`repro.trace.io.trace_digest` hashes: that is what keeps
+        digests representation-independent.
         """
         rows = self.thread_slice(pos)
         return np.ascontiguousarray(
@@ -358,14 +368,15 @@ class ColumnarTrace:
         )
 
     def to_events(self) -> "Trace":
-        """Convert back to the per-event tuple form."""
-        from repro.trace.io import decode_thread_matrix
+        """A :class:`Trace` over this trace's rows (no tuples are built
+        until a reader asks for :attr:`ThreadTrace.events`)."""
+        from repro.trace.stream import ThreadTrace, Trace
 
         threads = [
-            decode_thread_matrix(tid, self.thread_matrix(pos))
+            ThreadTrace.from_rows(tid, self.thread_matrix(pos))
             for pos, tid in enumerate(self.thread_ids.tolist())
         ]
-        return _make_trace(threads, self.name)
+        return Trace(threads, name=self.name)
 
     @classmethod
     def from_thread_matrices(
@@ -381,21 +392,13 @@ class ColumnarTrace:
         counts = [m.shape[0] for m in mats]
         starts = np.zeros(len(mats) + 1, dtype=np.int64)
         np.cumsum(counts, out=starts[1:])
-        stacked = (
-            np.concatenate(mats)
-            if sum(counts)
-            else np.empty((0, 6), dtype=np.int64)
-        )
-        unknown = ~np.isin(
-            stacked[:, 0], np.asarray(list(_EVENT_FIELDS), dtype=np.int64)
-        )
-        if np.any(unknown):
-            bad = int(stacked[np.argmax(unknown), 0])
-            raise TraceError(f"unknown event kind {bad} in trace file")
-        columns = {
-            column: np.ascontiguousarray(stacked[:, i])
-            for i, column in enumerate(_COLUMNS)
-        }
+        # One copy, straight into column-major order: every column is a
+        # contiguous row of ``table``.
+        table = np.empty((6, int(starts[-1])), dtype=np.int64)
+        if mats:
+            np.concatenate([m.T for m in mats], axis=1, out=table)
+        check_kinds(table[0])
+        columns = {column: table[i] for i, column in enumerate(_COLUMNS)}
         return cls(
             name=name,
             thread_ids=np.asarray(thread_ids, dtype=np.int64),
@@ -410,18 +413,12 @@ class ColumnarTrace:
         )
 
 
-def _make_trace(threads, name: str):
-    from repro.trace.stream import Trace
-
-    return Trace(threads, name=name)
-
-
 def as_columnar(trace) -> ColumnarTrace:
     """Coerce a :class:`Trace` or :class:`ColumnarTrace` to columnar.
 
-    For tuple-form traces this goes through :meth:`Trace.columnar`, so
-    the conversion cost is paid once per trace object no matter how
-    many passes, simulations, saves or publishes consume it.
+    A :class:`Trace` goes through its :meth:`Trace.columnar` memo, so
+    the concatenation is paid once per trace object no matter how many
+    passes and simulations consume it.
     """
     if isinstance(trace, ColumnarTrace):
         return trace

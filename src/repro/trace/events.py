@@ -1,14 +1,17 @@
 """Trace event encoding.
 
-Events are plain tuples (not objects) because the replay loop touches
-millions of them; the first element is one of the ``EV_*`` codes.
+A thread captures each event as one canonical int64 row (see
+:mod:`repro.trace.columnar`); the per-event reference interpreter and
+the oracle analyzers read the derived tuple view
+(:attr:`~repro.trace.stream.ThreadTrace.events`), whose first element
+is one of the ``EV_*`` codes.
 
-Layouts::
+Tuple layouts::
 
     (EV_LOAD,   addr, size, gap)
     (EV_STORE,  addr, size, gap)
     (EV_ATOMIC, addr, size, gap, AtomicOp, with_return)
-    (EV_BARRIER, barrier_id)
+    (EV_BARRIER, barrier_id, gap)
 
 ``gap`` is the number of non-memory instructions the thread executed
 since its previous event; the core model charges them at the issue

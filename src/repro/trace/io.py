@@ -9,16 +9,15 @@ column-oriented array set per thread.
 Event columns: ``kind``, ``addr``, ``size`` (barrier id for barrier
 events), ``gap``, ``op`` (-1 when not an atomic), ``ret`` (0/1).
 
-Every per-thread matrix written or hashed here comes from the one
-encoder, :func:`~repro.trace.columnar.encode_events`.  :func:`save_trace`
-reads a tuple trace's memoized :meth:`Trace.columnar()
-<repro.trace.stream.Trace.columnar>` form, the same conversion the
-simulation kernel, the analysis passes and the shared-memory publish
-use.  :func:`trace_digest` encodes thread by thread and keeps nothing,
-so digesting a trace never pins a columnar copy on it.  One file loads
-as either representation, and both hash to the same digest — so cache
-keys and spec_keys never depend on which representation produced the
-trace.
+A thread is captured in this matrix layout (:mod:`repro.trace.stream`),
+so :func:`save_trace` and :func:`trace_digest` read each thread's rows
+as they are: no conversion, no tuple, and no columnar memo pinned on a
+trace that is only digested or saved.  :func:`load_trace` builds
+row-backed threads straight from the stored matrices.  Only threads
+built from hand-written tuples go through the one encoder,
+:func:`~repro.trace.columnar.encode_events`.  One file loads as either
+representation, and both hash to the same digest — so cache keys and
+spec_keys never depend on which representation produced the trace.
 """
 
 from __future__ import annotations
@@ -27,19 +26,12 @@ import hashlib
 import os
 import zipfile
 import zlib
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
 from repro.common.errors import TraceError
-from repro.trace.columnar import ColumnarTrace, as_columnar, encode_events
-from repro.trace.events import (
-    EV_ATOMIC,
-    EV_BARRIER,
-    EV_LOAD,
-    EV_STORE,
-    AtomicOp,
-)
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.stream import ThreadTrace, Trace
 
 _FORMAT_VERSION = 1
@@ -47,41 +39,18 @@ _FORMAT_VERSION = 1
 AnyTrace = Union[Trace, ColumnarTrace]
 
 
-def decode_thread_matrix(thread_id: int, rows: np.ndarray) -> ThreadTrace:
-    """Unpack an (N, 6) matrix back into event tuples."""
-    thread = ThreadTrace(thread_id)
-    events = thread.events
-    for kind, addr, size, gap, op, ret in rows.tolist():
-        if kind == EV_BARRIER:
-            events.append((EV_BARRIER, size, gap))
-        elif kind == EV_ATOMIC:
-            try:
-                decoded_op: AtomicOp | int = AtomicOp(op)
-            except ValueError:
-                # Preserve the raw value: the trace linter reports
-                # unknown ops (TRC003/PIM001) with their event index.
-                decoded_op = op
-            events.append(
-                (EV_ATOMIC, addr, size, gap, decoded_op, bool(ret))
-            )
-        elif kind in (EV_LOAD, EV_STORE):
-            events.append((kind, addr, size, gap))
-        else:
-            raise TraceError(f"unknown event kind {kind} in trace file")
-    return thread
-
-
 def _thread_matrices(trace: AnyTrace) -> "list[tuple[int, np.ndarray]]":
     """Canonical per-thread (id, (N, 6) matrix) pairs for either form.
 
-    A tuple trace is read through its :meth:`Trace.columnar` memo, so
-    raises :class:`TraceError` when it is not encodable.
+    A :class:`Trace` hands out its threads' rows without copying;
+    raises :class:`TraceError` when hand-built tuples are not encodable.
     """
-    col = as_columnar(trace)
-    return [
-        (int(tid), col.thread_matrix(pos))
-        for pos, tid in enumerate(col.thread_ids.tolist())
-    ]
+    if isinstance(trace, ColumnarTrace):
+        return [
+            (tid, trace.thread_matrix(pos))
+            for pos, tid in enumerate(trace.thread_ids.tolist())
+        ]
+    return [(thread.thread_id, thread.rows()) for thread in trace.threads]
 
 
 def trace_digest(trace: AnyTrace) -> str:
@@ -89,40 +58,27 @@ def trace_digest(trace: AnyTrace) -> str:
 
     Hashes the same column-oriented encoding the ``.npz`` format uses,
     so the digest identifies the trace *content* independently of how
-    it was produced (fresh execution, loaded from disk, tuple form, or
-    columnar form).  The experiment runner keys its on-disk result
-    cache on this, and the strict pre-flight uses it to skip re-linting
-    an already-clean trace.
+    it was produced (fresh execution, loaded from disk, shared memory,
+    hand-built tuples, or columnar form).  The experiment runner keys
+    its on-disk result cache on this, and the strict pre-flight uses it
+    to skip re-linting an already-clean trace.
 
-    A tuple trace is encoded one thread at a time and nothing is kept:
-    the digest deliberately bypasses the :meth:`Trace.columnar` memo.
-    Raises :class:`TraceError` when a tuple trace is not encodable, so
+    A captured thread's row buffer is hashed in place.  Raises
+    :class:`TraceError` when hand-built tuples are not encodable, so
     two different traces can never share a key.
     """
-    if isinstance(trace, ColumnarTrace):
-        pairs: "Iterable[tuple[int, np.ndarray]]" = _thread_matrices(trace)
-    else:
-        # Going through the memo would pin a columnar copy on every
-        # digested trace, and a warm-cache grid digests every trace it
-        # returns without ever simulating one: doing so raised the
-        # serial warm Figure-7 grid's peak RSS (tiny scale, 2-CPU
-        # host) from 125.0 to 157.4 MB.
-        pairs = (
-            (thread.thread_id, encode_events(thread.events, thread.thread_id))
-            for thread in trace.threads
-        )
     digest = hashlib.sha256()
     digest.update(str(trace.num_threads).encode())
-    for thread_id, matrix in pairs:
+    for thread_id, matrix in _thread_matrices(trace):
         digest.update(str(thread_id).encode())
-        digest.update(matrix.tobytes())
+        digest.update(matrix)
     return digest.hexdigest()
 
 
 def save_trace(trace: AnyTrace, path: str | os.PathLike) -> None:
-    """Write a trace (tuple or columnar form) to a ``.npz`` bundle.
+    """Write a trace (:class:`Trace` or columnar form) to a ``.npz`` bundle.
 
-    Raises :class:`TraceError` when a tuple trace is not encodable.
+    Raises :class:`TraceError` when hand-built tuples are not encodable.
     """
     payload = {
         "version": np.asarray([_FORMAT_VERSION]),
@@ -189,7 +145,7 @@ def load_trace(path: str | os.PathLike, validate: bool = True) -> Trace:
     name, thread_ids, matrices = _read_bundle(path)
     try:
         threads = [
-            decode_thread_matrix(tid, rows)
+            ThreadTrace.from_rows(tid, rows)
             for tid, rows in zip(thread_ids, matrices)
         ]
     except TraceError as error:

@@ -10,10 +10,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+import numpy as np
 
-from repro.memlayout.regions import Region, region_of
+from repro.memlayout.regions import REGION_SHIFT, Region
 from repro.trace.events import EV_ATOMIC, EV_BARRIER, EV_LOAD, EV_STORE, AtomicOp
 from repro.trace.stream import Trace
+
+_NUM_KINDS = 4
+_OPS = tuple(AtomicOp)
 
 
 @dataclass
@@ -50,27 +54,48 @@ class TraceStats:
 
 
 def summarize_trace(trace: Trace) -> TraceStats:
-    """Walk ``trace`` once and compute :class:`TraceStats`."""
-    stats = TraceStats(region_accesses={region: 0 for region in Region})
+    """Compute :class:`TraceStats` with numpy over each thread's rows.
+
+    Builds no tuples and no columnar memo.  Like
+    :func:`~repro.memlayout.regions.region_of`, raises ``ValueError``
+    for an access outside every region.
+    """
+    kinds = np.zeros(_NUM_KINDS, dtype=np.int64)
+    regions = np.zeros(len(Region), dtype=np.int64)
+    ops: Counter = Counter()
+    instructions = 0
+    property_atomics = 0
     for thread in trace.threads:
-        for event in thread.events:
-            kind = event[0]
-            if kind == EV_BARRIER:
-                stats.barriers += 1
-                stats.total_instructions += event[2]
-                continue
-            addr, gap = event[1], event[3]
-            region = region_of(addr)
-            stats.region_accesses[region] += 1
-            stats.total_instructions += gap + 1
-            if kind == EV_LOAD:
-                stats.loads += 1
-            elif kind == EV_STORE:
-                stats.stores += 1
-            elif kind == EV_ATOMIC:
-                stats.atomics += 1
-                op: AtomicOp = event[4]
-                stats.atomic_ops[op] += 1
-                if region is Region.PROPERTY:
-                    stats.property_atomics += 1
-    return stats
+        rows = thread.rows()
+        kind, addr, gap, op = rows[:, 0], rows[:, 1], rows[:, 3], rows[:, 4]
+        kinds += np.bincount(kind, minlength=_NUM_KINDS)
+        # Barriers carry work in their gap; memory events add themselves.
+        instructions += int(gap.sum())
+        access = kind != EV_BARRIER
+        region = addr[access] >> REGION_SHIFT
+        if region.size and (
+            int(region.min()) < 0 or int(region.max()) >= len(Region)
+        ):
+            bad = region[(region < 0) | (region >= len(Region))][0]
+            Region(int(bad))  # raises ValueError, as region_of does
+        regions += np.bincount(region, minlength=len(Region))
+        atomic = kind[access] == EV_ATOMIC
+        property_atomics += int(
+            np.count_nonzero(region[atomic] == Region.PROPERTY)
+        )
+        values, counts = np.unique(op[kind == EV_ATOMIC], return_counts=True)
+        for value, count in zip(values.tolist(), counts.tolist()):
+            ops[_OPS[value] if 0 <= value < len(_OPS) else value] += count
+    memory = int(kinds[EV_LOAD] + kinds[EV_STORE] + kinds[EV_ATOMIC])
+    return TraceStats(
+        total_instructions=instructions + memory,
+        loads=int(kinds[EV_LOAD]),
+        stores=int(kinds[EV_STORE]),
+        atomics=int(kinds[EV_ATOMIC]),
+        barriers=int(kinds[EV_BARRIER]),
+        region_accesses={
+            region: int(regions[region]) for region in Region
+        },
+        property_atomics=property_atomics,
+        atomic_ops=ops,
+    )

@@ -122,11 +122,12 @@ def test_trc002_non_monotone_barrier_ids():
 
 
 def test_trc003_malformed_tuples():
-    t0 = ThreadTrace(0)
-    t0.load(META + 8, 8)
-    t0.events.append((99, 1, 2, 3))  # unknown kind
-    t0.events.append((EV_LOAD, META + 8))  # wrong arity
-    t0.events.append((EV_LOAD, META + 8, -4, 0))  # negative size
+    t0 = ThreadTrace.from_events(0, [
+        (EV_LOAD, META + 8, 8, 0),
+        (99, 1, 2, 3),  # unknown kind
+        (EV_LOAD, META + 8),  # wrong arity
+        (EV_LOAD, META + 8, -4, 0),  # negative size
+    ])
     report = lint_trace(Trace([t0]))
     assert report.count("TRC003") == 3
     assert report.has_errors
@@ -151,8 +152,8 @@ def test_pim001_fp_atomic_without_extension():
 
 
 def test_pim001_unknown_op_in_pmr():
-    t0 = ThreadTrace(0)
-    t0.events.append((2, PMR + 8, 8, 0, 99, False))  # EV_ATOMIC, bad op
+    # EV_ATOMIC with a bad op.
+    t0 = ThreadTrace.from_events(0, [(2, PMR + 8, 8, 0, 99, False)])
     report = lint_trace(Trace([t0]))
     assert "TRC003" in report.rule_ids()  # not an AtomicOp
     assert "PIM001" in report.rule_ids()  # and not offloadable
@@ -414,8 +415,7 @@ def test_load_trace_validate_flag(tmp_path):
 
 
 def test_load_trace_preserves_unknown_op(tmp_path):
-    t0 = ThreadTrace(0)
-    t0.events.append((2, PMR + 8, 8, 0, 99, False))
+    t0 = ThreadTrace.from_events(0, [(2, PMR + 8, 8, 0, 99, False)])
     path = tmp_path / "badop.npz"
     save_trace(Trace([t0]), path)
     loaded = load_trace(path, validate=False)

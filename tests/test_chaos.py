@@ -41,6 +41,7 @@ from repro.runner.shm import (
     attach_trace,
     corrupt_segment,
     publish_trace,
+    segment_name,
     unlink_segment,
 )
 from repro.workloads import get_workload
@@ -78,15 +79,47 @@ def _run_grid(specs=SPECS, **overrides):
 
 
 def _assert_no_leaks():
-    """No leftover shm segments, no orphaned pool workers."""
+    """No leftover shm segments of this process's pools, no orphaned
+    pool workers.
+
+    The supervisor names every segment ``repro_<its pid>_...``, so
+    segments of pools running in other processes are not counted.
+    """
     if os.path.isdir("/dev/shm"):
-        assert glob.glob("/dev/shm/repro_*") == []
+        assert glob.glob(f"/dev/shm/repro_{os.getpid()}_*") == []
     orphans = [
         child
         for child in multiprocessing.active_children()
         if child.name.startswith("repro-pool-")
     ]
     assert orphans == []
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/dev/shm"), reason="needs POSIX shm in /dev/shm"
+)
+def test_leak_check_ignores_other_processes_segments():
+    from multiprocessing import shared_memory
+
+    # Pid 0 is never a user process: a stand-in for a concurrent pool.
+    foreign = shared_memory.SharedMemory(
+        name=f"repro_0_{os.getpid()}", create=True, size=8
+    )
+    try:
+        _assert_no_leaks()
+        own = shared_memory.SharedMemory(
+            name=segment_name(), create=True, size=8
+        )
+        try:
+            with pytest.raises(AssertionError):
+                _assert_no_leaks()
+        finally:
+            own.close()
+            own.unlink()
+        _assert_no_leaks()
+    finally:
+        foreign.close()
+        foreign.unlink()
 
 
 @pytest.fixture(scope="module")

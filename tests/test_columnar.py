@@ -132,9 +132,7 @@ def test_roundtrip_barrier_only():
 # ---------------------------------------------------------------------------
 
 def _trace_with_events(events):
-    thread = ThreadTrace(0)
-    thread.events.extend(events)
-    return Trace([thread], name="bad")
+    return Trace([ThreadTrace.from_events(0, events)], name="bad")
 
 
 @pytest.mark.parametrize(
@@ -324,10 +322,10 @@ def test_golden_tiny_figure7_digests():
         assert trace_digest(run.trace.columnar()) == expected, code
 
 
-def test_strict_job_encodes_each_thread_twice(monkeypatch):
-    """Digest once, memo once; pre-flight, kernel and spill share it."""
+def test_strict_job_encodes_no_thread(monkeypatch):
+    """Captured rows feed digest, pre-flight, kernel and spill as they
+    are: a strict job never runs the tuple encoder."""
     import repro.trace.columnar as columnar_mod
-    import repro.trace.io as io_mod
 
     calls: Counter = Counter()
     encode = columnar_mod.encode_events
@@ -336,8 +334,7 @@ def test_strict_job_encodes_each_thread_twice(monkeypatch):
         calls[thread_id] += 1
         return encode(events, thread_id)
 
-    for module in (columnar_mod, io_mod):
-        monkeypatch.setattr(module, "encode_events", counting_encode)
+    monkeypatch.setattr(columnar_mod, "encode_events", counting_encode)
     clear_preflight_cache()
     spec = ExperimentSpec.for_workload(
         "BFS",
@@ -348,6 +345,6 @@ def test_strict_job_encodes_each_thread_twice(monkeypatch):
     payload = execute_spec(
         spec, RunnerConfig(strict=True, parallel=False, cache_dir=None)
     )
-    threads = payload["run"].trace.num_threads
+    assert payload["run"].trace.num_threads == 16
     assert not any(mode["cached"] for mode in payload["modes"].values())
-    assert calls == Counter({tid: 2 for tid in range(threads)})
+    assert calls == Counter()

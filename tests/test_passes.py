@@ -260,8 +260,8 @@ def test_key_width_guard_falls_back_to_legacy():
 
 
 def test_malformed_tuples_fall_back_whole_pipeline():
-    thread = ThreadTrace(0)
-    thread.events.append((99, 1, 2, 3))  # unknown kind: not encodable
+    # Unknown kind: not encodable.
+    thread = ThreadTrace.from_events(0, [(99, 1, 2, 3)])
     trace = Trace([thread], name="bad")
     manager = PassManager(["lint", "race"])
     results = manager.run(trace, SystemConfig.graphpim())

@@ -371,6 +371,26 @@ class TestRunnerResilience:
         with pytest.raises(RunnerError, match=r"\[timeout\]"):
             ExperimentRunner(config).run(SLOW_SPECS)
 
+    def test_overrun_inside_one_tick_is_a_timeout(self, monkeypatch):
+        # A job that overruns and finishes between two health sweeps
+        # (a tiny kCore job takes tens of milliseconds; a sweep runs at
+        # most once per 0.1 s tick) is never seen running late by the
+        # sweep.  Disabling the sweep makes every job that case, so only
+        # the check on "done" can turn the overrun into a timeout.
+        monkeypatch.setattr(
+            pool_module.SupervisedWorkerPool, "_check_health",
+            lambda self: None,
+        )
+        config = _pool_config(
+            job_timeout_s=0.01, job_retries=0, allow_partial=True,
+        )
+        specs = [_spec("kCore"), _spec("DC")]  # two: the grid pools
+        outcomes, report = ExperimentRunner(config).run(specs)
+        assert report.parallel
+        assert outcomes == []
+        assert [f.kind for f in report.failures] == ["timeout", "timeout"]
+        assert report.worker_crashes == 0
+
     def test_retry_backoff_is_full_jitter_and_seeded(self, caplog):
         config = _pool_config(
             job_timeout_s=0.01, job_retries=2, backoff_base_s=0.2,

@@ -188,9 +188,10 @@ def test_decline_reasons():
         enabled = True
 
     assert "recording" in decline_reason(trace, config, _Recorder())
-    wide = Trace([ThreadTrace(tid) for tid in range(65)])
-    for thread in wide.threads:
+    threads = [ThreadTrace(tid) for tid in range(65)]
+    for thread in threads:
         thread.load(64, 8)
+    wide = Trace(threads)
     assert "64 threads" in decline_reason(wide, config)
 
 
